@@ -869,6 +869,19 @@ impl<'a> SteppedMultiDrive<'a> {
         self.pending.len() + self.queued.len()
     }
 
+    /// Requests scheduled into the drives' sweeps: admitted, no longer
+    /// waiting, not yet resolved. Lets the service tests count work in
+    /// flight apart from the service's own bookkeeping.
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.states
+            .iter()
+            .filter_map(|s| s.plan.as_ref())
+            .flat_map(|p| p.list.forward_stops().chain(p.list.reverse_stops()))
+            .map(|stop| stop.requests.len())
+            .sum()
+    }
+
     /// True once the pending queue overflowed `max_pending`.
     pub fn saturated(&self) -> bool {
         self.saturated

@@ -169,6 +169,23 @@ enum TicketPhase {
     Expired,
 }
 
+impl TicketPhase {
+    /// Unresolved: live in the engine or backing off.
+    fn is_open(self) -> bool {
+        matches!(self, TicketPhase::Active(_) | TicketPhase::Retry(_))
+    }
+
+    fn state(self) -> TicketState {
+        match self {
+            TicketPhase::Active(_) => TicketState::Queued,
+            TicketPhase::Retry(_) => TicketState::AwaitingRetry,
+            TicketPhase::Completed => TicketState::Completed,
+            TicketPhase::Rejected => TicketState::Rejected,
+            TicketPhase::Expired => TicketState::Expired,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TicketRecord {
     block: BlockId,
@@ -183,6 +200,12 @@ pub struct JukeboxService<'a> {
     engine: SteppedMultiDrive<'a>,
     cfg: ServiceConfig,
     tickets: Vec<TicketRecord>,
+    /// Indices of the open tickets (active or backing off), ascending.
+    /// Every per-call pass walks this instead of `tickets`, so its cost
+    /// follows the backlog and the work in flight, not the run's length;
+    /// ascending order keeps the passes' `cancel`/`submit_at` sequence
+    /// (hence request ids and trace bytes) that of a full scan.
+    open: Vec<usize>,
     /// Engine request id → ticket index (retries mint fresh engine ids).
     by_request: BTreeMap<RequestId, usize>,
     stats: ServiceStats,
@@ -206,6 +229,7 @@ impl<'a> JukeboxService<'a> {
             engine,
             cfg,
             tickets: Vec::new(),
+            open: Vec::new(),
             by_request: BTreeMap::new(),
             stats: ServiceStats::default(),
             clock: SimTime::ZERO,
@@ -225,13 +249,7 @@ impl<'a> JukeboxService<'a> {
     /// State of a ticket, if it exists.
     pub fn state(&self, t: Ticket) -> Option<TicketState> {
         let idx = usize::try_from(t.0).ok()?;
-        self.tickets.get(idx).map(|r| match r.phase {
-            TicketPhase::Active(_) => TicketState::Queued,
-            TicketPhase::Retry(_) => TicketState::AwaitingRetry,
-            TicketPhase::Completed => TicketState::Completed,
-            TicketPhase::Rejected => TicketState::Rejected,
-            TicketPhase::Expired => TicketState::Expired,
-        })
+        self.tickets.get(idx).map(|r| r.phase.state())
     }
 
     /// Tickets waiting for service: live in the engine's admission
@@ -239,9 +257,9 @@ impl<'a> JukeboxService<'a> {
     /// metered against [`ServiceConfig::queue_capacity`].
     pub fn backlog(&self) -> usize {
         let retrying = self
-            .tickets
+            .open
             .iter()
-            .filter(|t| matches!(t.phase, TicketPhase::Retry(_)))
+            .filter(|&&i| matches!(self.tickets[i].phase, TicketPhase::Retry(_)))
             .count();
         self.engine.waiting() + retrying
     }
@@ -255,9 +273,9 @@ impl<'a> JukeboxService<'a> {
     pub fn set_drive_offline(&mut self, d: usize, offline: bool) -> Result<(), SimError> {
         self.engine.set_drive_offline(d, offline)?;
         if self.engine.drives_online() == 0 {
-            let clock = self.clock;
-            self.expire_where(clock, |_| true);
+            self.expire_where(|_| true);
         }
+        self.debug_check_open();
         Ok(())
     }
 
@@ -312,6 +330,8 @@ impl<'a> JukeboxService<'a> {
             phase: TicketPhase::Active(req),
         });
         self.by_request.insert(req, idx);
+        self.open.push(idx);
+        self.debug_check_open();
         Ok(Ticket(idx as u64))
     }
 
@@ -324,9 +344,9 @@ impl<'a> JukeboxService<'a> {
             // Perform retries due before the target so resubmission
             // happens at the backoff instant, not late at `t`.
             let due_retry = self
-                .tickets
+                .open
                 .iter()
-                .filter_map(|r| match r.phase {
+                .filter_map(|&i| match self.tickets[i].phase {
                     TicketPhase::Retry(when) if when <= t => Some(when),
                     _ => None,
                 })
@@ -339,6 +359,7 @@ impl<'a> JukeboxService<'a> {
                 break;
             }
         }
+        self.debug_check_open();
         Ok(())
     }
 
@@ -365,30 +386,20 @@ impl<'a> JukeboxService<'a> {
         while self.engine.step_parallel()? == crate::stepped::StepOutcome::Running {}
         self.clock = end;
         self.pump()?;
-        let clock = self.clock;
-        self.expire_where(clock, |_| true);
+        self.expire_where(|_| true);
         // A ticket can survive `expire_where` only when its request was
         // still inside an active sweep when the horizon hit (cancel
         // refuses in-flight work). The run is over, so it was not
         // delivered: it expires unresolved.
-        for idx in 0..self.tickets.len() {
+        for idx in std::mem::take(&mut self.open) {
             if let TicketPhase::Active(req) = self.tickets[idx].phase {
                 self.by_request.remove(&req);
                 self.tickets[idx].phase = TicketPhase::Expired;
                 self.stats.expired += 1;
             }
         }
-        let states = self
-            .tickets
-            .iter()
-            .map(|r| match r.phase {
-                TicketPhase::Active(_) => TicketState::Queued,
-                TicketPhase::Retry(_) => TicketState::AwaitingRetry,
-                TicketPhase::Completed => TicketState::Completed,
-                TicketPhase::Rejected => TicketState::Rejected,
-                TicketPhase::Expired => TicketState::Expired,
-            })
-            .collect();
+        self.debug_check_open();
+        let states = self.tickets.iter().map(|r| r.phase.state()).collect();
         let mut report = self.engine.finish();
         report.rejected = self.stats.rejected;
         report.expired = self.stats.expired;
@@ -432,9 +443,10 @@ impl<'a> JukeboxService<'a> {
         // ticket already scheduled into a sweep runs to completion and is
         // classified by its completion instant above.
         let clock = self.clock;
-        self.expire_where(clock, |r| r.deadline.is_some_and(|d| d < clock));
+        self.expire_where(|r| r.deadline.is_some_and(|d| d < clock));
         // Resubmit due retries.
-        for idx in 0..self.tickets.len() {
+        for k in 0..self.open.len() {
+            let idx = self.open[k];
             if let TicketPhase::Retry(when) = self.tickets[idx].phase {
                 if when <= self.clock {
                     let block = self.tickets[idx].block;
@@ -480,9 +492,11 @@ impl<'a> JukeboxService<'a> {
 
     /// Expires every matching ticket that is still cancellable: waiting
     /// in the engine (cancel succeeds) or backing off. In-flight work is
-    /// never preempted.
-    fn expire_where<F: Fn(&TicketRecord) -> bool>(&mut self, _clock: SimTime, pred: F) {
-        for idx in 0..self.tickets.len() {
+    /// never preempted. Then drops every resolved ticket, including those
+    /// resolved since the last pass, from the open index.
+    fn expire_where<F: Fn(&TicketRecord) -> bool>(&mut self, pred: F) {
+        for k in 0..self.open.len() {
+            let idx = self.open[k];
             if !pred(&self.tickets[idx]) {
                 continue;
             }
@@ -499,28 +513,45 @@ impl<'a> JukeboxService<'a> {
                 _ => {}
             }
         }
+        self.prune_open();
     }
 
     /// Sheds the oldest cancellable waiting ticket (lowest index =
     /// earliest submission). Returns whether room was made.
     fn shed_oldest(&mut self) -> bool {
-        for idx in 0..self.tickets.len() {
+        for k in 0..self.open.len() {
+            let idx = self.open[k];
             match self.tickets[idx].phase {
                 TicketPhase::Active(req) if self.engine.cancel(req) => {
                     self.by_request.remove(&req);
-                    self.tickets[idx].phase = TicketPhase::Rejected;
-                    self.stats.rejected += 1;
-                    return true;
                 }
-                TicketPhase::Retry(_) => {
-                    self.tickets[idx].phase = TicketPhase::Rejected;
-                    self.stats.rejected += 1;
-                    return true;
-                }
-                _ => {}
+                TicketPhase::Retry(_) => {}
+                _ => continue,
             }
+            self.tickets[idx].phase = TicketPhase::Rejected;
+            self.stats.rejected += 1;
+            self.open.remove(k);
+            return true;
         }
         false
+    }
+
+    /// Drops resolved tickets from the open index.
+    fn prune_open(&mut self) {
+        let tickets = &self.tickets;
+        self.open.retain(|&i| tickets[i].phase.is_open());
+    }
+
+    /// Debug builds: the open index is exactly the unresolved tickets, in
+    /// ascending order.
+    fn debug_check_open(&self) {
+        debug_assert!(
+            self.open
+                .iter()
+                .copied()
+                .eq((0..self.tickets.len()).filter(|&i| self.tickets[i].phase.is_open())),
+            "open-ticket index out of sync"
+        );
     }
 }
 
@@ -528,7 +559,9 @@ impl<'a> JukeboxService<'a> {
 mod tests {
     use super::*;
     use crate::engine::SimConfig;
-    use crate::trace::NullSink;
+    use crate::trace::{MemorySink, NullSink};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use tapesim_layout::{build_placement, Catalog, LayoutKind, PlacementConfig, PlacementScheme};
     use tapesim_model::{BlockSize, FaultConfig, JukeboxGeometry, TimingModel};
     use tapesim_sched::{make_scheduler, AlgorithmId, Scheduler, TapeSelectPolicy};
@@ -840,5 +873,215 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    /// One operation of the random service driver.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// `n` submissions from `after_s` past the clock, `gap_us` apart
+        /// (0: all at one instant).
+        Burst { n: u32, after_s: u64, gap_us: u64 },
+        /// One submission past the horizon.
+        PastHorizon,
+        /// Advances the run by this many seconds.
+        Run(u64),
+        /// Takes drive `d` offline, or brings it back.
+        Flip(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u32..20, 1u32..=24, 0u64..600, 0usize..3).prop_map(|(kind, n, s, g)| match kind {
+            0 => Op::PastHorizon,
+            1..=3 => Op::Flip((n % 2) as usize),
+            4..=8 => Op::Run(s * 5),
+            _ => Op::Burst {
+                n,
+                after_s: s,
+                gap_us: [0, 1, 250_000][g],
+            },
+        })
+    }
+
+    fn service_config() -> impl Strategy<Value = ServiceConfig> {
+        (
+            2usize..=10,
+            0u32..2,
+            proptest::option::of(300u64..4_000),
+            0u32..=3,
+        )
+            .prop_map(
+                |(queue_capacity, shed, deadline_s, max_retries)| ServiceConfig {
+                    queue_capacity,
+                    admission: if shed == 1 {
+                        AdmissionPolicy::ShedOldest
+                    } else {
+                        AdmissionPolicy::RejectNew
+                    },
+                    deadline: deadline_s.map(Micros::from_secs),
+                    max_retries,
+                    backoff_base: Micros::from_secs(60),
+                    backoff_cap: Micros::from_secs(960),
+                },
+            )
+    }
+
+    /// Everything observable about one driven run.
+    #[derive(Debug, PartialEq)]
+    struct Driven {
+        report: MetricsReport,
+        stats: ServiceStats,
+        states: Vec<TicketState>,
+        trace: Vec<crate::TraceRecord>,
+    }
+
+    /// Checks the open-ticket index against the engine after an op:
+    /// every open ticket is either in the backlog or in flight, and the
+    /// index never outgrows the queue capacity plus the most work seen in
+    /// flight so far (admission is the only way in, and it needs a
+    /// backlog below capacity).
+    fn check_open_bound(
+        svc: &JukeboxService<'_>,
+        peak_in_flight: &mut usize,
+    ) -> Result<(), TestCaseError> {
+        let in_flight = svc.engine.in_flight();
+        *peak_in_flight = (*peak_in_flight).max(in_flight);
+        prop_assert_eq!(svc.open.len(), svc.backlog() + in_flight);
+        prop_assert!(
+            svc.open.len() <= svc.cfg.queue_capacity + *peak_in_flight,
+            "{} open tickets, capacity {}, peak in flight {}",
+            svc.open.len(),
+            svc.cfg.queue_capacity,
+            *peak_in_flight
+        );
+        Ok(())
+    }
+
+    /// Drives a faulted 2-drive service through `ops`, checking the
+    /// admission bounds after every operation.
+    fn drive(cat: &Catalog, svc_cfg: ServiceConfig, ops: &[Op]) -> Result<Driven, TestCaseError> {
+        let timing = TimingModel::paper_default();
+        let cfg = SimConfig {
+            duration: Micros::from_secs(20_000),
+            warmup: Micros::ZERO,
+            max_pending: 5_000,
+        };
+        let faults = FaultConfig {
+            media_error_per_read: 0.05,
+            media_retries: 0,
+            tape_mtbf: Some(Micros::from_secs(5_000)),
+            tape_mttr: Some(Micros::from_secs(1_000)),
+            ..FaultConfig::NONE
+        };
+        let mut sched = make_scheduler(AlgorithmId::Dynamic(TapeSelectPolicy::MaxBandwidth));
+        let mut fac = factory(cat);
+        let mut blocks = factory(cat);
+        let mut sink = MemorySink::new();
+        let eng = SteppedMultiDrive::new_external(
+            cat,
+            &timing,
+            sched.as_mut(),
+            &mut fac,
+            &cfg,
+            2,
+            &faults,
+            3,
+            &mut sink,
+        )
+        .unwrap();
+        let mut svc = JukeboxService::new(eng, svc_cfg).unwrap();
+        let mut offline = [false; 2];
+        let mut bounced = 0u64;
+        let mut peak_in_flight = 0;
+        for &op in ops {
+            match op {
+                Op::Burst { n, after_s, gap_us } => {
+                    let t0 = svc.now() + Micros::from_secs(after_s);
+                    for i in 0..u64::from(n) {
+                        let at = t0 + Micros::from_micros(i * gap_us);
+                        // Every other submission runs to its instant
+                        // first, so the backlog its admission sees can be
+                        // read; the rest let `submit` advance the run.
+                        let before = (i % 2 == 0).then(|| {
+                            svc.run_until(at).unwrap();
+                            svc.backlog()
+                        });
+                        match svc.submit(blocks.make(at).block, at) {
+                            Ok(_) => {}
+                            Err(SimError::Overloaded) => bounced += 1,
+                            Err(e) => panic!("submit failed: {e}"),
+                        }
+                        // Admission never grows the backlog past the
+                        // capacity: failed reads and aborted sweeps can
+                        // push it over, but only from in flight.
+                        if let Some(before) = before {
+                            prop_assert!(
+                                svc.backlog() <= svc_cfg.queue_capacity.max(before),
+                                "backlog {} after admission from {before}",
+                                svc.backlog()
+                            );
+                        }
+                        check_open_bound(&svc, &mut peak_in_flight)?;
+                    }
+                }
+                Op::PastHorizon => {
+                    let at = svc.engine.horizon() + Micros::from_secs(1_000);
+                    match svc.submit(blocks.make(at).block, at) {
+                        Ok(_) => {}
+                        Err(SimError::Overloaded) => bounced += 1,
+                        Err(e) => panic!("submit failed: {e}"),
+                    }
+                }
+                Op::Run(s) => svc.run_until(svc.now() + Micros::from_secs(s)).unwrap(),
+                Op::Flip(d) => {
+                    offline[d] = !offline[d];
+                    svc.set_drive_offline(d, offline[d]).unwrap();
+                }
+            }
+            check_open_bound(&svc, &mut peak_in_flight)?;
+        }
+        let (report, stats, states) = svc.drain_with_tickets().unwrap();
+        prop_assert!(stats.check_conservation(), "{stats:?}");
+        let count = |want: TicketState| states.iter().filter(|&&s| s == want).count() as u64;
+        prop_assert_eq!(count(TicketState::Completed), stats.completed);
+        prop_assert_eq!(count(TicketState::Expired), stats.expired);
+        prop_assert_eq!(count(TicketState::Rejected) + bounced, stats.rejected);
+        prop_assert_eq!(states.len() as u64 + bounced, stats.submitted);
+        let trace = sink.into_events();
+        prop_assert!(crate::check_trace(&trace).is_ok(), "trace invariants");
+        Ok(Driven {
+            report,
+            stats,
+            states,
+            trace,
+        })
+    }
+
+    fn replicated_catalog() -> Catalog {
+        build_placement(
+            JukeboxGeometry::PAPER_DEFAULT,
+            BlockSize::PAPER_DEFAULT,
+            PlacementConfig {
+                layout: LayoutKind::Horizontal,
+                ph_percent: 10.0,
+                scheme: PlacementScheme::Replication { nr: 1 },
+                sp: 1.0,
+            },
+        )
+        .unwrap()
+        .catalog
+    }
+
+    proptest! {
+        #[test]
+        #[cfg_attr(miri, ignore = "full-horizon simulation is too slow under Miri")]
+        fn random_ops_keep_open_index_bounded_and_deterministic(
+            svc_cfg in service_config(),
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let cat = replicated_catalog();
+            let first = drive(&cat, svc_cfg, &ops)?;
+            let second = drive(&cat, svc_cfg, &ops)?;
+            prop_assert!(first == second, "two runs of the same ops differ");
+        }
     }
 }
