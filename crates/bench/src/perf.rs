@@ -4,7 +4,7 @@
 //!
 //! ## Scenario matrix
 //!
-//! Eight scenarios cover the exposed hot paths:
+//! Seven scenarios cover the exposed hot paths:
 //!
 //! | name                | exercises                                          |
 //! |---------------------|----------------------------------------------------|
@@ -16,9 +16,7 @@
 //! | `stepped-service`   | the service layer over the stepped core: external  |
 //! |                     | submissions, deadlines, retries, transient faults  |
 //! | `fleet-scale-serial`| 200 tapes x 8 drives, external burst storm through |
-//! |                     | the calendar queue, serial stepping                |
-//! | `fleet-scale-8w`    | the same storm with 8 window workers — the         |
-//! |                     | parallel-over-serial speedup readout               |
+//! |                     | the arrival queue                                  |
 //!
 //! Each scenario runs `warmup_reps` untimed repetitions followed by
 //! `reps` timed ones, all with the same seed; the report carries the
@@ -27,17 +25,14 @@
 //! `physical_reads`) are identical across repetitions and fails loudly
 //! if they are not — a free determinism tripwire on every benchmark run.
 //!
-//! ## `BENCH_PERF.json` schema (version 2)
+//! ## `BENCH_PERF.json` schema (version 3)
 //!
-//! Version 2 adds the per-scenario `workers` key (window worker threads;
-//! `1` = serial stepping) and the top-level `host_parallelism` key (the
-//! measuring host's hardware threads — worker counts above it time-slice
-//! rather than run in parallel). Keys are emitted in a fixed, documented
-//! order so diffs are stable:
+//! `host_parallelism` is the measuring host's hardware-thread count. Keys
+//! are emitted in a fixed, documented order so diffs are stable:
 //!
 //! ```json
 //! {
-//!   "schema_version": 2,
+//!   "schema_version": 3,
 //!   "scale": "quick",
 //!   "warmup_reps": 1,
 //!   "reps": 5,
@@ -45,7 +40,6 @@
 //!   "scenarios": [
 //!     {
 //!       "name": "engine-fifo",
-//!       "workers": 1,
 //!       "median_ms": 1.5,
 //!       "min_ms": 1.4,
 //!       "sim_seconds": 100000,
@@ -79,9 +73,9 @@ use tapesim::{
     ExperimentConfig, Scale,
 };
 
-/// Version of the emitted JSON schema. Version 2 added the per-scenario
-/// `workers` key.
-pub const SCHEMA_VERSION: u64 = 2;
+/// Version of the emitted JSON schema. Version 3 dropped the
+/// per-scenario `workers` key.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Default regression tolerance: a scenario fails the check when its
 /// median is more than 30% slower than the baseline. Wide enough to
@@ -102,23 +96,8 @@ pub enum ScenarioRoute {
     /// capped-backoff retries.
     SteppedService,
     /// The external-mode stepped multi-drive core under a fleet-scale
-    /// burst storm (hundreds of tapes, 8 drives), stepped with the given
-    /// number of window worker threads (`1` = serial stepping).
-    FleetScale {
-        /// Window worker threads to run with.
-        workers: usize,
-    },
-}
-
-impl ScenarioRoute {
-    /// Window worker threads this route steps with (`1` for every serial
-    /// route).
-    pub fn workers(self) -> u64 {
-        match self {
-            ScenarioRoute::FleetScale { workers } => workers.max(1) as u64,
-            _ => 1,
-        }
-    }
+    /// burst storm (hundreds of tapes, 8 drives).
+    FleetScale,
 }
 
 /// One benchmark scenario: a named experiment configuration plus the
@@ -217,12 +196,7 @@ pub fn scenario_matrix(scale: Scale) -> Vec<ScenarioSpec> {
         ScenarioSpec {
             name: "fleet-scale-serial",
             cfg: fleet_scale_config(&baseline),
-            route: ScenarioRoute::FleetScale { workers: 1 },
-        },
-        ScenarioSpec {
-            name: "fleet-scale-8w",
-            cfg: fleet_scale_config(&baseline),
-            route: ScenarioRoute::FleetScale { workers: 8 },
+            route: ScenarioRoute::FleetScale,
         },
     ]
 }
@@ -246,16 +220,14 @@ fn fleet_scale_config(baseline: &ExperimentConfig) -> ExperimentConfig {
     }
 }
 
-/// Drives one repetition of a `fleet-scale` scenario: bursts of external
-/// submissions at distinct microsecond ticks (feeding the calendar
-/// queue), drained by 8 drives between bursts, stepped with `workers`
-/// window worker threads.
+/// Drives one repetition of the `fleet-scale-serial` scenario: bursts of
+/// external submissions at distinct microsecond ticks (feeding the
+/// arrival queue), drained by 8 drives between bursts.
 fn run_fleet_scenario(
     cfg: &ExperimentConfig,
     placed: &tapesim::layout::PlacedCatalog,
     sim: &SimConfig,
     seed: u64,
-    workers: usize,
 ) -> Result<(u64, u64), SimError> {
     let sampler = BlockSampler::from_catalog(&placed.catalog, cfg.rh_percent);
     let mut factory = RequestFactory::new_clustered(sampler, cfg.process, cfg.cluster_run_p, seed);
@@ -272,14 +244,11 @@ fn run_fleet_scenario(
         seed,
         &mut sink,
     )?;
-    engine.set_parallel(workers);
     // Seeded SplitMix64 draws concentrated on a small hot tape cluster;
-    // every submission lands on its own microsecond tick so
-    // calendar-queue buckets stay spread out. Cold blocks are striped
-    // round-robin across tapes (ids one tape-count apart share a tape at
-    // adjacent slots), so drawing `base + stride * q + r` with a few
-    // residues `r` builds long sweeps on a handful of tapes — the shape
-    // where partitioned-horizon windows carry the most stops.
+    // every submission lands on its own microsecond tick. Cold blocks are
+    // striped round-robin across tapes (ids one tape-count apart share a
+    // tape at adjacent slots), so drawing `base + stride * q + r` with a
+    // few residues `r` builds long sweeps on a handful of tapes.
     let blocks = u64::from(placed.catalog.num_blocks().max(1));
     let stride = u64::from(placed.catalog.geometry().tapes).max(1);
     // Skip the replicated hot set (~ph% of blocks) so each draw has
@@ -428,8 +397,8 @@ pub fn run_scenario(
         ScenarioRoute::SteppedService => {
             return run_service_scenario(cfg, placed, sim, seed);
         }
-        ScenarioRoute::FleetScale { workers } => {
-            return run_fleet_scenario(cfg, placed, sim, seed, workers);
+        ScenarioRoute::FleetScale => {
+            return run_fleet_scenario(cfg, placed, sim, seed);
         }
         ScenarioRoute::Runner => {
             let spec = RunSpec {
@@ -454,8 +423,6 @@ pub fn run_scenario(
 pub struct ScenarioResult {
     /// Scenario name.
     pub name: String,
-    /// Window worker threads the scenario stepped with (1 = serial).
-    pub workers: u64,
     /// Median wall time over the timed repetitions, in milliseconds.
     pub median_ms: f64,
     /// Minimum wall time, in milliseconds.
@@ -481,10 +448,8 @@ pub struct PerfReport {
     pub warmup_reps: u64,
     /// Timed repetitions per scenario.
     pub reps: u64,
-    /// Hardware threads available on the measuring host. Worker counts
-    /// above this (e.g. `fleet-scale-8w` on a single-core runner)
-    /// time-slice instead of running in parallel, so their timings are
-    /// not comparable across hosts with different parallelism.
+    /// Hardware threads available on the measuring host, recorded so
+    /// wall-clock timings are compared only between like hosts.
     pub host_parallelism: u64,
     /// Per-scenario results, in matrix order.
     pub scenarios: Vec<ScenarioResult>,
@@ -556,7 +521,6 @@ pub fn run_matrix(scale: Scale, warmup_reps: u64, reps: u64) -> Result<PerfRepor
         let (completed, physical_reads) = counters.unwrap_or((0, 0));
         scenarios.push(ScenarioResult {
             name: spec.name.to_owned(),
-            workers: spec.route.workers(),
             median_ms,
             min_ms,
             sim_seconds,
@@ -565,22 +529,6 @@ pub fn run_matrix(scale: Scale, warmup_reps: u64, reps: u64) -> Result<PerfRepor
             completed,
             physical_reads,
         });
-    }
-    // The two fleet-scale scenarios run the identical config and
-    // submission schedule at different worker counts: their counters
-    // must agree exactly, or the parallel core broke determinism.
-    let fleet: Vec<&ScenarioResult> = scenarios
-        .iter()
-        .filter(|s| s.name.starts_with("fleet-scale"))
-        .collect();
-    for pair in fleet.windows(2) {
-        let &[a, b] = pair else { continue };
-        if (a.completed, a.physical_reads) != (b.completed, b.physical_reads) {
-            return Err(format!(
-                "{} vs {}: worker count changed results: ({}, {}) vs ({}, {})",
-                a.name, b.name, a.completed, a.physical_reads, b.completed, b.physical_reads
-            ));
-        }
     }
     Ok(PerfReport {
         schema_version: SCHEMA_VERSION,
@@ -642,7 +590,6 @@ impl PerfReport {
         for (i, s) in self.scenarios.iter().enumerate() {
             out.push_str("    {\n");
             out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&s.name)));
-            out.push_str(&format!("      \"workers\": {},\n", s.workers));
             out.push_str(&format!(
                 "      \"median_ms\": {},\n",
                 json_num(s.median_ms)
@@ -690,7 +637,6 @@ impl PerfReport {
                 let o = s.as_object("scenario")?;
                 Ok(ScenarioResult {
                     name: get_str(o, "name")?.to_owned(),
-                    workers: get_u64(o, "workers")?,
                     median_ms: get_f64(o, "median_ms")?,
                     min_ms: get_f64(o, "min_ms")?,
                     sim_seconds: get_f64(o, "sim_seconds")?,
@@ -714,7 +660,6 @@ impl PerfReport {
     pub fn to_table(&self) -> tapesim::analysis::Table {
         let mut t = tapesim::analysis::Table::new([
             "scenario",
-            "workers",
             "median_ms",
             "min_ms",
             "sim_s/wall_s",
@@ -724,7 +669,6 @@ impl PerfReport {
         for s in &self.scenarios {
             t.push([
                 s.name.clone(),
-                s.workers.to_string(),
                 tapesim::analysis::fnum(s.median_ms, 3),
                 tapesim::analysis::fnum(s.min_ms, 3),
                 tapesim::analysis::fnum(s.sim_secs_per_wall_sec, 0),
@@ -1040,7 +984,6 @@ mod tests {
             scenarios: vec![
                 ScenarioResult {
                     name: "engine-fifo".to_owned(),
-                    workers: 1,
                     median_ms: 1.537,
                     min_ms: 1.101,
                     sim_seconds: 100_000.0,
@@ -1050,7 +993,6 @@ mod tests {
                 },
                 ScenarioResult {
                     name: "envelope-heavy".to_owned(),
-                    workers: 1,
                     median_ms: 2.25,
                     min_ms: 2.0,
                     sim_seconds: 100_000.0,
@@ -1082,8 +1024,7 @@ mod tests {
         assert!(pos("reps") < pos("host_parallelism"));
         assert!(pos("host_parallelism") < pos("scenarios"));
         // Scenario keys in schema order.
-        assert!(pos("name") < pos("workers"));
-        assert!(pos("workers") < pos("median_ms"));
+        assert!(pos("name") < pos("median_ms"));
         assert!(pos("median_ms") < pos("min_ms"));
         assert!(pos("min_ms") < pos("sim_seconds"));
         assert!(pos("sim_seconds") < pos("sim_secs_per_wall_sec"));
@@ -1094,7 +1035,7 @@ mod tests {
     #[test]
     fn from_json_rejects_other_schema_versions_and_garbage() {
         let mut r = sample_report();
-        r.schema_version = 3;
+        r.schema_version = SCHEMA_VERSION + 1;
         assert!(PerfReport::from_json(&r.to_json())
             .unwrap_err()
             .contains("schema_version"));

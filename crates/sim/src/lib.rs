@@ -23,8 +23,6 @@ pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod multidrive;
-pub(crate) mod par;
-pub mod queue;
 pub mod runner;
 pub mod service;
 pub mod stepped;
@@ -41,10 +39,8 @@ pub use error::SimError;
 pub use metrics::{DelayPercentiles, MetricsCollector, MetricsReport};
 pub use multidrive::{
     run_fleet, run_fleet_traced, run_multi_drive, run_multi_drive_checkpointed,
-    run_multi_drive_parallel, run_multi_drive_parallel_traced, run_multi_drive_traced,
-    run_multi_drive_with_faults, SteppedMultiDrive,
+    run_multi_drive_traced, run_multi_drive_with_faults, SteppedMultiDrive,
 };
-pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, TimeKeyed};
 pub use runner::{default_seeds, run_one, run_paired, run_seeds, run_seeds_pooled, RunSpec};
 pub use service::{
     AdmissionPolicy, JukeboxService, ServiceConfig, ServiceStats, Ticket, TicketState,

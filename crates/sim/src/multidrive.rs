@@ -27,7 +27,8 @@
 //! and administrative drive on/offlining.
 #![allow(clippy::cast_possible_truncation)] // drive and tape indices fit u16 by geometry construction
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use tapesim_layout::{BlockId, Catalog};
 use tapesim_model::{
@@ -43,8 +44,6 @@ use crate::checkpoint::{
 use crate::engine::{abort_plan, SimConfig};
 use crate::error::SimError;
 use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::par::{StopBatch, WinOp, WindowTask, WorkerPool};
-use crate::queue::{CalendarQueue, EventQueue, TimeKeyed};
 use crate::stepped::{EngineEvent, StepOutcome};
 use crate::trace::{NullSink, TraceEvent, TraceSink, Tracer, SYSTEM_DRIVE};
 use crate::trace_event;
@@ -52,6 +51,10 @@ use crate::trace_event;
 /// A request waiting to become visible at its arrival instant (closed-
 /// queue regenerations are minted at a *future* completion time relative
 /// to the other drives' clocks, so they must not be schedulable early).
+///
+/// Ordered by `(at, seq)`. `seq` is unique, so the order is total and
+/// arrivals at one instant pop in admission order: the tie-break every
+/// golden trace depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct QueuedArrival {
     at: SimTime,
@@ -68,12 +71,6 @@ impl Ord for QueuedArrival {
 impl PartialOrd for QueuedArrival {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-impl TimeKeyed for QueuedArrival {
-    fn at_micros(&self) -> u64 {
-        self.at.as_micros()
     }
 }
 
@@ -258,68 +255,6 @@ pub fn run_fleet_traced(
     Ok(engine.finish())
 }
 
-/// [`run_multi_drive_with_faults`] with partitioned-horizon parallel
-/// stepping on `workers` threads (see
-/// [`SteppedMultiDrive::set_parallel`]). The worker count changes
-/// wall-clock speed only: the report is exactly equal — and the trace a
-/// parallel run would record byte-identical — to the serial core's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multi_drive_parallel(
-    catalog: &Catalog,
-    timing: &TimingModel,
-    scheduler: &mut dyn Scheduler,
-    factory: &mut RequestFactory,
-    cfg: &SimConfig,
-    drives: u16,
-    faults: &FaultConfig,
-    fault_seed: u64,
-    workers: usize,
-) -> Result<MetricsReport, SimError> {
-    run_multi_drive_parallel_traced(
-        catalog,
-        timing,
-        scheduler,
-        factory,
-        cfg,
-        drives,
-        faults,
-        fault_seed,
-        workers,
-        &mut NullSink,
-    )
-}
-
-/// [`run_multi_drive_parallel`] recording every event into `sink`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_multi_drive_parallel_traced(
-    catalog: &Catalog,
-    timing: &TimingModel,
-    scheduler: &mut dyn Scheduler,
-    factory: &mut RequestFactory,
-    cfg: &SimConfig,
-    drives: u16,
-    faults: &FaultConfig,
-    fault_seed: u64,
-    workers: usize,
-    sink: &mut dyn TraceSink,
-) -> Result<MetricsReport, SimError> {
-    let mut engine = SteppedMultiDrive::new(
-        catalog,
-        timing,
-        scheduler,
-        factory,
-        cfg,
-        drives,
-        faults,
-        fault_seed,
-        sink,
-        &CheckpointOpts::none(),
-    )?;
-    engine.set_parallel(workers);
-    while engine.step_parallel()? == StepOutcome::Running {}
-    Ok(engine.finish())
-}
-
 /// The poll-driven multi-drive engine core. See the module docs; batch
 /// runs use [`run_multi_drive`] and friends, service runs construct this
 /// directly in external-arrival mode
@@ -342,7 +277,7 @@ pub struct SteppedMultiDrive<'a> {
     closed: bool,
     external: bool,
     pending: PendingList,
-    queued: CalendarQueue<QueuedArrival>,
+    queued: BinaryHeap<Reverse<QueuedArrival>>,
     seq: u64,
     metrics: MetricsCollector,
     saturated: bool,
@@ -383,12 +318,6 @@ pub struct SteppedMultiDrive<'a> {
     next_ext_id: u64,
     last_submit_at: SimTime,
     events: Vec<EngineEvent>,
-    /// Worker threads for partitioned-horizon stepping (see
-    /// [`crate::par`]); absent until
-    /// [`SteppedMultiDrive::set_parallel`] enables them.
-    pool: Option<WorkerPool>,
-    /// Windows committed by [`SteppedMultiDrive::step_parallel`].
-    windows: u64,
 }
 
 impl<'a> SteppedMultiDrive<'a> {
@@ -661,7 +590,7 @@ impl<'a> SteppedMultiDrive<'a> {
             closed,
             external,
             pending: PendingList::new(),
-            queued: CalendarQueue::new(),
+            queued: BinaryHeap::new(),
             seq: 0,
             metrics: MetricsCollector::new(warmup_end),
             saturated: false,
@@ -683,8 +612,6 @@ impl<'a> SteppedMultiDrive<'a> {
             next_ext_id: 0,
             last_submit_at: SimTime::ZERO,
             events: Vec::new(),
-            pool: None,
-            windows: 0,
         };
 
         // Seed the workload (skipped on resume: the factory is replayed
@@ -785,11 +712,11 @@ impl<'a> SteppedMultiDrive<'a> {
                 *slot = SimTime::from_micros(mc.robot_free_us);
             }
             for &(at, qseq, req) in mc.queued.iter() {
-                engine.queued.push(QueuedArrival {
+                engine.queued.push(Reverse(QueuedArrival {
                     at: SimTime::from_micros(at),
                     seq: qseq,
                     req,
-                });
+                }));
             }
         }
         // First periodic-checkpoint instant strictly after the current
@@ -922,11 +849,11 @@ impl<'a> SteppedMultiDrive<'a> {
             }
         );
         self.metrics.record_admission();
-        self.queued.push(QueuedArrival {
+        self.queued.push(Reverse(QueuedArrival {
             at,
             seq: self.seq,
             req,
-        });
+        }));
         self.seq += 1;
         Ok(req.id)
     }
@@ -944,10 +871,9 @@ impl<'a> SteppedMultiDrive<'a> {
             self.metrics.record_cancellation();
             return true;
         }
-        let mut queued = false;
-        self.queued.for_each(&mut |q| queued |= q.req.id == req);
-        if queued {
-            self.queued.retain(&mut |q| q.req.id != req);
+        let before = self.queued.len();
+        self.queued.retain(|Reverse(q)| q.req.id != req);
+        if self.queued.len() < before {
             self.faulted.remove(&req);
             self.metrics.record_cancellation();
             return true;
@@ -1048,226 +974,16 @@ impl<'a> SteppedMultiDrive<'a> {
                     break;
                 }
             }
-            self.step_parallel()?;
+            self.step()?;
         }
         self.park = self.end;
         Ok(())
     }
 
-    /// Enables (`workers >= 2`) or disables (`workers <= 1`) partitioned-
-    /// horizon parallel stepping. The worker count changes wall-clock
-    /// speed only: traces and reports stay byte-identical to the serial
-    /// core (see [`crate::par`] for the argument). Callable at any point
-    /// in a run.
-    pub fn set_parallel(&mut self, workers: usize) {
-        self.pool = (workers >= 2).then(|| WorkerPool::new(workers));
-    }
-
-    /// The configured worker count (1 = serial stepping).
-    pub fn parallel_workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.workers)
-    }
-
-    /// How many parallel windows have committed so far (0 under serial
-    /// stepping); lets tests assert the parallel path actually ran.
-    pub fn windows_stepped(&self) -> u64 {
-        self.windows
-    }
-
-    /// Like [`SteppedMultiDrive::step`], but when a conservative window
-    /// of independent per-drive work exists it executes the whole window
-    /// on the worker pool (many stops per call). Identical observable
-    /// behavior to a sequence of `step` calls; without a pool it *is*
-    /// `step`.
-    pub fn step_parallel(&mut self) -> Result<StepOutcome, SimError> {
-        if self.pool.is_some() && self.try_step_window()? {
-            return Ok(if self.done {
-                StepOutcome::Done
-            } else {
-                StepOutcome::Running
-            });
-        }
-        self.step()
-    }
-
-    /// Attempts one partitioned-horizon window (see [`crate::par`]).
-    /// Returns `Ok(false)` — having changed nothing — whenever the next
-    /// event is not plain independent sweep execution; the caller then
-    /// falls back to the serial [`SteppedMultiDrive::step`].
-    fn try_step_window(&mut self) -> Result<bool, SimError> {
-        // Global activity the window model cannot buffer: closed-queue
-        // regeneration mints factory requests in completion order, and an
-        // active fault injector can interleave with any stop.
-        if self.pool.is_none()
-            || self.done
-            || self.closed
-            || self.injector.is_active()
-            || self.pending.len() > self.cfg.max_pending
-        {
-            return Ok(false);
-        }
-        // The window ends at the earliest upcoming global event; only
-        // stops dispatched strictly before it may run, so none of these
-        // events can fire mid-window.
-        let mut window_end = self.park.min(self.end);
-        if let Some(t) = self.next_arrival {
-            window_end = window_end.min(t);
-        }
-        if let Some(q) = self.queued.peek() {
-            window_end = window_end.min(q.at);
-        }
-        if let Some(t) = self.next_ckpt_at {
-            window_end = window_end.min(t);
-        }
-        // Participants: online drives with stops to execute. Any other
-        // online drive must be un-dispatchable for the whole window — a
-        // dispatch without stops runs a (global) reschedule.
-        let mut participants: Vec<usize> = Vec::new();
-        let mut first: Option<(SimTime, usize)> = None;
-        for (d, s) in self.states.iter().enumerate() {
-            if self.admin_offline[d] {
-                continue;
-            }
-            if s.plan.as_ref().is_some_and(|p| !p.list.is_empty()) {
-                let key = (s.free_at, d);
-                if first.is_none_or(|f| key < f) {
-                    first = Some(key);
-                }
-                participants.push(d);
-            } else if s.free_at < window_end {
-                return Ok(false);
-            }
-        }
-        if participants.len() < 2 {
-            return Ok(false);
-        }
-        let Some((first_at, _)) = first else {
-            return Ok(false);
-        };
-        if first_at >= window_end {
-            return Ok(false);
-        }
-        debug_assert!(first_at >= self.now, "dispatch frontier behind the clock");
-        debug_assert!(
-            self.faulted.is_empty(),
-            "failed-over requests with an inactive injector"
-        );
-
-        let trace_on = self.tracer.on;
-        // Budget each worker just past the shortest participant plan: the
-        // first exhaustion cuts the commit off, so anything speculated
-        // much beyond it is discarded work.
-        let min_stops = participants
-            .iter()
-            .filter_map(|&d| self.states[d].plan.as_ref().map(|p| p.list.stops()))
-            .min()
-            .unwrap_or(0);
-        let stop_budget = min_stops.saturating_add(crate::par::STOP_BUDGET_MARGIN);
-        let mut tasks = Vec::with_capacity(participants.len());
-        for &d in &participants {
-            let Some(plan) = self.states[d].plan.take() else {
-                return Ok(false); // unreachable: participants have plans
-            };
-            tasks.push(WindowTask {
-                d,
-                plan,
-                head: self.states[d].head,
-                free_at: self.states[d].free_at,
-                cur_phase: self.states[d].cur_phase,
-                window_end,
-                stop_budget,
-                trace_on,
-                external: self.external,
-                block: self.block,
-                timing: self.timing.clone(),
-            });
-        }
-        let results = if let Some(pool) = self.pool.as_ref() {
-            pool.run(tasks)?
-        } else {
-            return Err(SimError::WorkerPanicked(
-                "worker pool vanished mid-window".into(),
-            ));
-        };
-
-        // Earliest frontier where a worker stopped short of the window
-        // (sweep exhausted or stop cap): the serial core takes over
-        // there, so only batches strictly before it — in the serial
-        // (dispatch instant, drive) order — commit.
-        let mut cutoff: Option<(SimTime, usize)> = None;
-        for r in &results {
-            if let Some(at) = r.cutoff_at {
-                let key = (at, r.d);
-                if cutoff.is_none_or(|c| key < c) {
-                    cutoff = Some(key);
-                }
-            }
-        }
-        let mut merged: Vec<(usize, StopBatch)> = Vec::new();
-        for mut r in results {
-            let keep = match cutoff {
-                Some(c) => r
-                    .batches
-                    .iter()
-                    .take_while(|b| (b.dispatch_at, r.d) < c)
-                    .count(),
-                None => r.batches.len(),
-            };
-            r.batches.truncate(keep);
-            let mut plan = r.plan;
-            for _ in 0..keep {
-                let _ = plan.list.pop();
-            }
-            if let Some(last) = r.batches.last() {
-                self.states[r.d].head = last.head_after;
-                self.states[r.d].free_at = last.free_at_after;
-                self.states[r.d].cur_phase = last.phase_after;
-                self.states[r.d].idle = false;
-            }
-            self.states[r.d].plan = Some(plan);
-            merged.extend(r.batches.into_iter().map(|b| (r.d, b)));
-        }
-        if merged.is_empty() {
-            // Nothing committed (only possible under a degenerate cutoff);
-            // the plans are already back in place, fall back to serial.
-            return Ok(false);
-        }
-        // The deterministic merge: exactly the serial dispatch order.
-        merged.sort_by_key(|&(d, ref batch)| (batch.dispatch_at, d));
-
-        // Replay the buffered side effects in serial statement order: the
-        // tracer hands out the same sequence numbers, the metrics
-        // collector records in the same insertion order, the external
-        // event list drains identically.
-        let mut last_at = self.now;
-        for (d, batch) in &merged {
-            last_at = batch.dispatch_at;
-            for op in &batch.ops {
-                match *op {
-                    WinOp::Trace(at, ev) => self.tracer.push(at, *d as u16, ev),
-                    WinOp::Locate(at, dur) => self.metrics.add_locate_time(at, dur),
-                    WinOp::Read(at, dur) => {
-                        self.metrics.add_read_time(at, dur);
-                        self.metrics.record_physical_read(at);
-                    }
-                    WinOp::Complete { arrival, done } => {
-                        self.metrics
-                            .record_completion(arrival, done, self.block_bytes);
-                    }
-                    WinOp::Event(ev) => self.events.push(ev),
-                }
-            }
-        }
-        self.now = last_at.max(self.now);
-        self.windows += 1;
-        Ok(true)
-    }
-
     /// The arm of library `lib` that frees earliest; ties break on the
     /// lower global robot index. Arbitration therefore depends only on
-    /// the arm clocks — never on event-discovery order — which keeps the
-    /// parallel differential byte-identical. For legacy topologies this
-    /// is always robot 0.
+    /// the arm clocks, never on event-discovery order. For legacy
+    /// topologies this is always robot 0.
     fn pick_robot(&self, lib: u16) -> usize {
         let base = usize::from(self.topology.robot_base(lib));
         let count = self
@@ -1298,8 +1014,8 @@ impl<'a> SteppedMultiDrive<'a> {
         // update below is re-derived identically on resume).
         if let (Some(at), Some((every, path))) = (self.next_ckpt_at, self.opts.write_every()) {
             if self.now >= at {
-                let mut arrivals: Vec<QueuedArrival> = Vec::with_capacity(self.queued.len());
-                self.queued.for_each(&mut |q| arrivals.push(*q));
+                let mut arrivals: Vec<QueuedArrival> =
+                    self.queued.iter().map(|Reverse(q)| *q).collect();
                 arrivals.sort_unstable();
                 let ckpt = Checkpoint {
                     engine: EngineKind::Multi,
@@ -1408,11 +1124,11 @@ impl<'a> SteppedMultiDrive<'a> {
                                 block: req.block,
                             }
                         );
-                        self.queued.push(QueuedArrival {
+                        self.queued.push(Reverse(QueuedArrival {
                             at: self.now,
                             seq: self.seq,
                             req,
-                        });
+                        }));
                         self.seq += 1;
                         self.metrics.record_admission();
                     }
@@ -1449,7 +1165,7 @@ impl<'a> SteppedMultiDrive<'a> {
         loop {
             // Materialize the Poisson arrival if it is the earliest event.
             if let Some(t) = self.next_arrival {
-                let heap_first = self.queued.peek().map(|q| q.at);
+                let heap_first = self.queued.peek().map(|Reverse(q)| q.at);
                 if t <= self.now && heap_first.is_none_or(|h| t <= h) {
                     let req = self.factory.make(t);
                     trace_event!(
@@ -1461,11 +1177,11 @@ impl<'a> SteppedMultiDrive<'a> {
                             block: req.block,
                         }
                     );
-                    self.queued.push(QueuedArrival {
+                    self.queued.push(Reverse(QueuedArrival {
                         at: t,
                         seq: self.seq,
                         req,
-                    });
+                    }));
                     self.seq += 1;
                     self.metrics.record_admission();
                     let gap = self
@@ -1476,11 +1192,14 @@ impl<'a> SteppedMultiDrive<'a> {
                     continue;
                 }
             }
-            let due = self.queued.peek().is_some_and(|q| q.at <= self.now);
+            let due = self
+                .queued
+                .peek()
+                .is_some_and(|Reverse(q)| q.at <= self.now);
             if !due {
                 break;
             }
-            let Some(q) = self.queued.pop() else {
+            let Some(Reverse(q)) = self.queued.pop() else {
                 break;
             };
             tapes_held_except_into(&self.states, d, &mut self.unavailable_buf);
@@ -1661,11 +1380,11 @@ impl<'a> SteppedMultiDrive<'a> {
                                     block: req.block,
                                 }
                             );
-                            self.queued.push(QueuedArrival {
+                            self.queued.push(Reverse(QueuedArrival {
                                 at: done,
                                 seq: self.seq,
                                 req,
-                            });
+                            }));
                             self.seq += 1;
                             self.metrics.record_admission();
                         }
@@ -1740,11 +1459,11 @@ impl<'a> SteppedMultiDrive<'a> {
                             block: req.block,
                         }
                     );
-                    self.queued.push(QueuedArrival {
+                    self.queued.push(Reverse(QueuedArrival {
                         at: done,
                         seq: self.seq,
                         req,
-                    });
+                    }));
                     self.seq += 1;
                     self.metrics.record_admission();
                 }
@@ -1976,7 +1695,7 @@ impl<'a> SteppedMultiDrive<'a> {
                         next = t;
                     }
                 }
-                if let Some(q) = self.queued.peek() {
+                if let Some(Reverse(q)) = self.queued.peek() {
                     if q.at > self.now && q.at < next {
                         next = q.at;
                     }
@@ -2438,22 +2157,24 @@ mod tests {
         );
     }
 
-    /// External-mode run over a deliberately short horizon, sized so the
-    /// whole thing stays tractable under Miri. Submissions route through
-    /// the calendar queue, and with `workers >= 2` the run must also take
-    /// the partitioned-window path.
-    fn reduced_horizon_external(workers: usize) -> (MetricsReport, u64) {
+    /// Arrivals at one instant must reach the scheduler in admission
+    /// order. Under FIFO on one drive every request is its own sweep, so
+    /// the completion order is the order the arrival queue popped them
+    /// in. The horizon is short so the test runs under Miri, where the
+    /// full-horizon tests above are ignored.
+    #[test]
+    fn equal_instant_arrivals_pop_in_admission_order() {
         let catalog = paper_catalog(0, 0.0, LayoutKind::Horizontal);
         let timing = TimingModel::paper_default();
         let cfg = SimConfig {
-            duration: Micros::from_secs(8_000),
+            duration: Micros::from_secs(20_000),
             warmup: Micros::from_secs(500),
             max_pending: 5_000,
         };
         let sampler = BlockSampler::from_catalog(&catalog, 40.0);
         let mut factory =
             RequestFactory::new(sampler, ArrivalProcess::Closed { queue_length: 1 }, 1);
-        let mut sched = make_scheduler(AlgorithmId::Static(TapeSelectPolicy::MaxRequests));
+        let mut sched = make_scheduler(AlgorithmId::Fifo);
         let mut sink = NullSink;
         let mut engine = SteppedMultiDrive::new_external(
             &catalog,
@@ -2461,40 +2182,48 @@ mod tests {
             sched.as_mut(),
             &mut factory,
             &cfg,
-            2,
+            1,
             &FaultConfig::NONE,
             1,
             &mut sink,
         )
         .unwrap();
-        engine.set_parallel(workers);
         let blocks = catalog.num_blocks().max(1);
-        for i in 0..48u32 {
-            engine
-                .submit_at(
-                    BlockId((i * 97) % blocks),
-                    SimTime::ZERO + Micros::from_secs(u64::from(i % 6) * 5),
-                )
-                .unwrap();
+        let mut submitted = Vec::new();
+        for (burst, at_s) in [(0u32, 0u64), (1, 600)] {
+            for i in 0..7u32 {
+                let block = BlockId(((burst * 7 + i) * 97) % blocks);
+                let at = SimTime::ZERO + Micros::from_secs(at_s);
+                submitted.push(engine.submit_at(block, at).unwrap());
+            }
         }
-        while engine.step_parallel().unwrap() == StepOutcome::Running {}
-        let windows = engine.windows_stepped();
-        (engine.finish(), windows)
-    }
+        // The later burst is still in the arrival queue: cancel its
+        // middle request.
+        let cancelled = submitted[10];
+        assert!(engine.cancel(cancelled));
+        assert_eq!(engine.queued_len(), submitted.len() - 1);
+        engine.step_until(SimTime::ZERO + cfg.duration).unwrap();
 
-    /// Reduced-horizon variant of the full differential suite that is
-    /// *not* Miri-gated: it pins the calendar-queue arrival path and the
-    /// deterministic window merge under the interpreter, where the
-    /// full-horizon tests above are ignored.
-    #[test]
-    fn reduced_horizon_parallel_matches_serial() {
-        let (serial, serial_windows) = reduced_horizon_external(1);
-        let (parallel, parallel_windows) = reduced_horizon_external(2);
-        assert_eq!(serial_windows, 0, "serial run must not window");
-        assert!(
-            parallel_windows > 0,
-            "parallel run never took the window path"
+        let completed: Vec<RequestId> = engine
+            .drain_events()
+            .iter()
+            .filter_map(|e| match *e {
+                EngineEvent::Completed { req, .. } => Some(req),
+                EngineEvent::Failed { .. } => None,
+            })
+            .collect();
+        let expected: Vec<RequestId> = submitted
+            .iter()
+            .copied()
+            .filter(|&r| r != cancelled)
+            .collect();
+        assert_eq!(completed, expected, "completions out of admission order");
+        let report = engine.finish();
+        assert_eq!(report.admitted, submitted.len() as u64);
+        assert_eq!(report.cancelled, 1);
+        assert_eq!(
+            report.admitted,
+            report.served + report.failed_requests + report.unserved + report.cancelled
         );
-        assert_eq!(serial, parallel, "worker count changed the report");
     }
 }

@@ -284,20 +284,6 @@ impl<'a> JukeboxService<'a> {
         self.engine.drives_online()
     }
 
-    /// Enables or disables partitioned-horizon parallel stepping in the
-    /// underlying engine (see [`SteppedMultiDrive::set_parallel`]). The
-    /// worker count never changes observable behavior — tickets, stats,
-    /// traces, and reports are identical at any setting.
-    pub fn set_parallel(&mut self, workers: usize) {
-        self.engine.set_parallel(workers);
-    }
-
-    /// Parallel windows committed by the underlying engine so far (see
-    /// [`SteppedMultiDrive::windows_stepped`]).
-    pub fn windows_stepped(&self) -> u64 {
-        self.engine.windows_stepped()
-    }
-
     /// Submits one block read at instant `at` (not before the service
     /// clock). Applies backpressure per the admission policy and starts
     /// the deadline clock at `at`. Returns the ticket, or
@@ -383,7 +369,7 @@ impl<'a> JukeboxService<'a> {
         self.run_until(end)?;
         // Let the engine run down whatever is still in flight past the
         // park point (it stops at the horizon regardless).
-        while self.engine.step_parallel()? == crate::stepped::StepOutcome::Running {}
+        while self.engine.step()? == crate::stepped::StepOutcome::Running {}
         self.clock = end;
         self.pump()?;
         self.expire_where(|_| true);

@@ -234,7 +234,7 @@ fn par_contract(em: &mut Emitter<'_>, file: &File, toks: &[Token], ctx: &FileCtx
                     toks[i].col,
                     format!(
                         "concurrency primitive `{name}` outside `par.rs` — \
-                         the parallel core owns all thread machinery"
+                         the fork-join helpers own all thread machinery"
                     ),
                     None,
                 );
@@ -246,8 +246,8 @@ fn par_contract(em: &mut Emitter<'_>, file: &File, toks: &[Token], ctx: &FileCtx
                     Lint::ParContract,
                     toks[i].line,
                     toks[i].col,
-                    "`thread::` use outside `par.rs` — the parallel core \
-                     owns all thread machinery"
+                    "`thread::` use outside `par.rs` — the fork-join \
+                     helpers own all thread machinery"
                         .to_string(),
                     None,
                 );
@@ -432,7 +432,7 @@ mod tests {
     #[test]
     fn par_module_is_exempt_from_primitive_scan() {
         let d = lint_at(
-            "crates/sim/src/par.rs",
+            "crates/core/src/par.rs",
             "use std::sync::mpsc;\nfn f() { let (tx, rx) = mpsc::channel::<u32>(); }\n",
             Lint::ParContract,
         );
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn shared_mutable_capture_in_spawn_flagged_even_in_par_module() {
         let d = lint_at(
-            "crates/sim/src/par.rs",
+            "crates/core/src/par.rs",
             "fn f(s: &Scope) { s.spawn(move || { let c = RefCell::new(0); c }); }\n",
             Lint::ParContract,
         );
@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn arrival_order_drain_flagged_everywhere() {
         let d = lint_at(
-            "crates/sim/src/par.rs",
+            "crates/core/src/par.rs",
             "fn f(rx: &Receiver<u32>) { for r in rx.try_iter() { use_it(r); } }\n",
             Lint::ParContract,
         );
@@ -471,7 +471,7 @@ mod tests {
     #[test]
     fn counted_recv_loop_is_silent() {
         let d = lint_at(
-            "crates/sim/src/par.rs",
+            "crates/core/src/par.rs",
             "fn f(rx: &Receiver<u32>, n: usize) -> Vec<u32> {\n\
              (0..n).map(|_| rx.recv().unwrap_or_default()).collect()\n}\n",
             Lint::ParContract,

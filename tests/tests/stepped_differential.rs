@@ -11,41 +11,15 @@
 //! microsecond, a metric counted on the wrong side of a step) shows up
 //! as a byte diff here.
 
-use tapesim::layout::{
-    build_fleet_placement, build_placement, BlockId, LayoutKind, PlacementConfig, PlacementScheme,
-    ReplicaScope,
-};
-use tapesim::model::{
-    BlockSize, FaultConfig, InterLibraryModel, JukeboxGeometry, Micros, RobotModel, SimTime,
-    TimingModel, Topology,
-};
+use tapesim::layout::{build_placement, PlacementConfig, PlacementScheme};
+use tapesim::model::{BlockSize, FaultConfig, JukeboxGeometry, Micros, TimingModel};
 use tapesim::sched::{make_scheduler, AlgorithmId, EnvelopePolicy, TapeSelectPolicy};
 use tapesim::sim::{
-    run_multi_drive_parallel_traced, run_multi_drive_traced, run_simulation_traced,
-    run_with_writeback_traced, AdmissionPolicy, CheckpointOpts, FlushPolicy, JsonlSink,
-    JukeboxService, MetricsReport, ServiceConfig, ServiceStats, SimConfig, StepOutcome,
-    SteppedEngine, SteppedMultiDrive, SteppedWriteBack, TicketState, WriteBackConfig,
+    run_multi_drive_traced, run_simulation_traced, run_with_writeback_traced, CheckpointOpts,
+    FlushPolicy, JsonlSink, MetricsReport, SimConfig, StepOutcome, SteppedEngine,
+    SteppedMultiDrive, SteppedWriteBack, WriteBackConfig,
 };
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
-
-/// Worker counts exercised by the thread-invariance suite: serial,
-/// minimal parallelism, and more workers than the configs have drives.
-/// CI overrides the list per job leg via `TAPESIM_TEST_WORKERS` (a
-/// comma-separated list) so the required gate runs the suite at two
-/// distinct thread-count settings.
-fn worker_counts() -> Vec<usize> {
-    match std::env::var("TAPESIM_TEST_WORKERS") {
-        Ok(raw) => raw
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .expect("TAPESIM_TEST_WORKERS must be a comma-separated list of counts")
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 8],
-    }
-}
 
 const SEED: u64 = 0x1CDE_1999;
 const FAULT_SEED: u64 = 11;
@@ -368,334 +342,4 @@ fn stepped_writeback_trace_is_byte_identical() {
     );
     assert_eq!(stepped.0, batch.0, "write-back reports diverge");
     assert_eq!(stepped.1, batch.1, "write-back JSONL traces diverge");
-}
-
-/// A multi-drive run at `workers` threads: report + raw JSONL bytes.
-/// `workers == 0` means the plain serial batch driver.
-fn parallel_multi(
-    catalog: &tapesim::layout::Catalog,
-    timing: &TimingModel,
-    algorithm: AlgorithmId,
-    drives: u16,
-    faults: &FaultConfig,
-    process: ArrivalProcess,
-    workers: usize,
-) -> (MetricsReport, Vec<u8>) {
-    let mut factory = factory_for(catalog, process);
-    let mut sched = make_scheduler(algorithm);
-    let mut sink = JsonlSink::new(Vec::new());
-    let cfg = SimConfig::quick();
-    let report = if workers == 0 {
-        run_multi_drive_traced(
-            catalog,
-            timing,
-            sched.as_mut(),
-            &mut factory,
-            &cfg,
-            drives,
-            faults,
-            FAULT_SEED,
-            &mut sink,
-        )
-        .unwrap()
-    } else {
-        run_multi_drive_parallel_traced(
-            catalog,
-            timing,
-            sched.as_mut(),
-            &mut factory,
-            &cfg,
-            drives,
-            faults,
-            FAULT_SEED,
-            workers,
-            &mut sink,
-        )
-        .unwrap()
-    };
-    (report, sink.finish().unwrap())
-}
-
-/// Generated workloads (closed and open) across schedulers × fault
-/// presets: the worker count must never change a byte. Fault presets and
-/// closed regeneration force the conservative serial fallback — the
-/// invariance must hold whether or not windows fire.
-#[test]
-fn worker_count_is_invisible_for_generated_workloads() {
-    let placed = build_placement(
-        JukeboxGeometry::PAPER_DEFAULT,
-        BlockSize::PAPER_DEFAULT,
-        PlacementConfig {
-            scheme: PlacementScheme::Replication { nr: 1 },
-            ..PlacementConfig::paper_baseline()
-        },
-    )
-    .unwrap();
-    let timing = TimingModel::paper_default();
-    let processes = [
-        ArrivalProcess::Closed { queue_length: 40 },
-        ArrivalProcess::OpenPoisson {
-            mean_interarrival: Micros::from_secs(300),
-        },
-    ];
-    let algorithms = [
-        AlgorithmId::Fifo,
-        AlgorithmId::Envelope(EnvelopePolicy::MaxBandwidth),
-    ];
-    for process in processes {
-        for algorithm in algorithms {
-            for faults in [FaultConfig::NONE, light_faults()] {
-                let tag = format!(
-                    "{algorithm:?} {process:?} faults={}",
-                    if faults.is_inert() { "none" } else { "light" }
-                );
-                let (ref_report, ref_trace) =
-                    parallel_multi(&placed.catalog, &timing, algorithm, 4, &faults, process, 0);
-                assert!(ref_report.completed > 0, "{tag}: reference did no work");
-                for workers in worker_counts() {
-                    let (report, trace) = parallel_multi(
-                        &placed.catalog,
-                        &timing,
-                        algorithm,
-                        4,
-                        &faults,
-                        process,
-                        workers,
-                    );
-                    assert_eq!(
-                        report, ref_report,
-                        "{tag}: report diverges at {workers} workers"
-                    );
-                    assert_eq!(
-                        trace, ref_trace,
-                        "{tag}: trace diverges at {workers} workers"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Fleet topologies through the parallel stepper: robot arbitration is
-/// keyed on arm clocks, never on event-discovery order, so the worker
-/// count must stay invisible — byte-identical traces and exactly equal
-/// reports for a two-library fleet with cross-library replicas, with and
-/// without faults.
-#[test]
-fn worker_count_is_invisible_for_fleet_topologies() {
-    let topology = Topology::uniform(
-        2,
-        2,
-        1,
-        10,
-        RobotModel::exb210(),
-        InterLibraryModel::DEFAULT,
-    )
-    .unwrap();
-    let placed = build_fleet_placement(
-        JukeboxGeometry::new(20, 7 * 1024),
-        BlockSize::PAPER_DEFAULT,
-        PlacementConfig {
-            layout: LayoutKind::Horizontal,
-            ph_percent: 10.0,
-            scheme: PlacementScheme::Replication { nr: 1 },
-            sp: 0.0,
-        },
-        &topology,
-        ReplicaScope::CrossLibrary,
-    )
-    .unwrap();
-    let timing = TimingModel::paper_default();
-    let cfg = SimConfig::quick();
-    let process = ArrivalProcess::Closed { queue_length: 40 };
-    let run = |workers: usize, faults: &FaultConfig| -> (MetricsReport, Vec<u8>) {
-        let mut factory = factory_for(&placed.catalog, process);
-        let mut sched = make_scheduler(AlgorithmId::paper_recommended());
-        let mut sink = JsonlSink::new(Vec::new());
-        let report = {
-            let mut engine = SteppedMultiDrive::new_with_topology(
-                &placed.catalog,
-                &timing,
-                topology.clone(),
-                sched.as_mut(),
-                &mut factory,
-                &cfg,
-                faults,
-                FAULT_SEED,
-                &mut sink,
-                &CheckpointOpts::none(),
-            )
-            .unwrap();
-            engine.set_parallel(workers);
-            while engine.step().unwrap() == StepOutcome::Running {}
-            engine.finish()
-        };
-        (report, sink.finish().unwrap())
-    };
-    for faults in [FaultConfig::NONE, light_faults()] {
-        let tag = if faults.is_inert() { "none" } else { "light" };
-        let (ref_report, ref_trace) = run(1, &faults);
-        assert!(ref_report.completed > 0, "faults={tag}: fleet did no work");
-        for workers in worker_counts() {
-            let (report, trace) = run(workers, &faults);
-            assert_eq!(
-                report, ref_report,
-                "faults={tag}: fleet report diverges at {workers} workers"
-            );
-            assert_eq!(
-                trace, ref_trace,
-                "faults={tag}: fleet trace diverges at {workers} workers"
-            );
-        }
-    }
-}
-
-/// An external-arrival burst storm: the submissions are all pre-minted,
-/// so drives run long independent sweeps and the parallel windows
-/// genuinely fire. Byte-identical traces, exactly equal reports, and
-/// identical completion-event streams at every worker count.
-#[test]
-fn worker_count_is_invisible_for_external_bursts() {
-    let placed = build_placement(
-        JukeboxGeometry::PAPER_DEFAULT,
-        BlockSize::PAPER_DEFAULT,
-        PlacementConfig::paper_baseline(),
-    )
-    .unwrap();
-    let timing = TimingModel::paper_default();
-    let cfg = SimConfig::quick();
-    let blocks = placed.catalog.num_blocks();
-    let run = |workers: usize| -> (MetricsReport, Vec<u8>, Vec<tapesim::sim::EngineEvent>, u64) {
-        let mut factory = factory_for(&placed.catalog, ArrivalProcess::Closed { queue_length: 1 });
-        let mut sched = make_scheduler(AlgorithmId::paper_recommended());
-        let mut sink = JsonlSink::new(Vec::new());
-        let (report, events, windows) = {
-            let mut engine = SteppedMultiDrive::new_external(
-                &placed.catalog,
-                &timing,
-                sched.as_mut(),
-                &mut factory,
-                &cfg,
-                4,
-                &FaultConfig::NONE,
-                FAULT_SEED,
-                &mut sink,
-            )
-            .unwrap();
-            engine.set_parallel(workers);
-            // Three bursts of 120 submissions each, spread over distinct
-            // microseconds, with service intervals in between.
-            let mut x = SEED;
-            let mut events = Vec::new();
-            for burst in 0u64..3 {
-                let t0 = SimTime::ZERO + Micros::from_secs(burst * 20_000);
-                for i in 0u64..120 {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let block = BlockId(((x >> 33) % u64::from(blocks)) as u32);
-                    engine
-                        .submit_at(block, t0 + Micros::from_micros(i * 97 + 1))
-                        .unwrap();
-                }
-                engine.step_until(t0 + Micros::from_secs(18_000)).unwrap();
-                events.extend(engine.drain_events());
-            }
-            engine.step_until(engine.horizon()).unwrap();
-            events.extend(engine.drain_events());
-            let windows = engine.windows_stepped();
-            (engine.finish(), events, windows)
-        };
-        (report, sink.finish().unwrap(), events, windows)
-    };
-    let (ref_report, ref_trace, ref_events, _) = run(1);
-    assert!(ref_report.completed > 100, "burst run did little work");
-    for workers in [2usize, 8] {
-        let (report, trace, events, windows) = run(workers);
-        assert!(
-            windows > 0,
-            "{workers} workers: parallel windows never fired"
-        );
-        assert_eq!(report, ref_report, "report diverges at {workers} workers");
-        assert_eq!(trace, ref_trace, "trace diverges at {workers} workers");
-        assert_eq!(events, ref_events, "events diverge at {workers} workers");
-    }
-}
-
-/// Service-mode (`JukeboxService`) configs — deadlines, retries, bounded
-/// admission, a mid-run drive outage — at every worker count: identical
-/// metrics, service stats, per-ticket outcomes, and JSONL trace bytes.
-#[test]
-fn worker_count_is_invisible_for_service_mode() {
-    let placed = build_placement(
-        JukeboxGeometry::PAPER_DEFAULT,
-        BlockSize::PAPER_DEFAULT,
-        PlacementConfig {
-            scheme: PlacementScheme::Replication { nr: 1 },
-            ..PlacementConfig::paper_baseline()
-        },
-    )
-    .unwrap();
-    let timing = TimingModel::paper_default();
-    let cfg = SimConfig::quick();
-    let blocks = placed.catalog.num_blocks();
-    let service_cfg = ServiceConfig {
-        queue_capacity: 200,
-        admission: AdmissionPolicy::ShedOldest,
-        deadline: Some(Micros::from_secs(30_000)),
-        max_retries: 2,
-        backoff_base: Micros::from_secs(500),
-        backoff_cap: Micros::from_secs(4_000),
-    };
-    let run = |workers: usize| -> (MetricsReport, ServiceStats, Vec<TicketState>, Vec<u8>) {
-        let mut factory = factory_for(&placed.catalog, ArrivalProcess::Closed { queue_length: 1 });
-        let mut sched = make_scheduler(AlgorithmId::Envelope(EnvelopePolicy::MaxBandwidth));
-        let mut sink = JsonlSink::new(Vec::new());
-        let out = {
-            let engine = SteppedMultiDrive::new_external(
-                &placed.catalog,
-                &timing,
-                sched.as_mut(),
-                &mut factory,
-                &cfg,
-                3,
-                &FaultConfig::NONE,
-                FAULT_SEED,
-                &mut sink,
-            )
-            .unwrap();
-            let mut service = JukeboxService::new(engine, service_cfg).unwrap();
-            service.set_parallel(workers);
-            let mut x = SEED ^ 0x5DEECE66D;
-            for burst in 0u64..4 {
-                let t0 = SimTime::ZERO + Micros::from_secs(burst * 15_000);
-                for i in 0u64..80 {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let block = BlockId(((x >> 33) % u64::from(blocks)) as u32);
-                    // Overload rejections are part of the scenario.
-                    let _ = service.submit(block, t0 + Micros::from_micros(i * 131 + 1));
-                }
-                if burst == 1 {
-                    service.set_drive_offline(2, true).unwrap();
-                }
-                if burst == 2 {
-                    service.set_drive_offline(2, false).unwrap();
-                }
-            }
-            let (report, stats, tickets) = service.drain_with_tickets().unwrap();
-            (report, stats, tickets)
-        };
-        (out.0, out.1, out.2, sink.finish().unwrap())
-    };
-    let (ref_report, ref_stats, ref_tickets, ref_trace) = run(1);
-    assert!(ref_stats.completed > 0, "service run completed nothing");
-    for workers in [2usize, 8] {
-        let (report, stats, tickets, trace) = run(workers);
-        assert_eq!(report, ref_report, "report diverges at {workers} workers");
-        assert_eq!(stats, ref_stats, "stats diverge at {workers} workers");
-        assert_eq!(tickets, ref_tickets, "tickets diverge at {workers} workers");
-        assert_eq!(trace, ref_trace, "trace diverges at {workers} workers");
-    }
 }
