@@ -3,7 +3,8 @@
 //! Times each scenario (warmup + N repetitions), prints a human-readable
 //! table, writes the machine-readable report to `BENCH_PERF.json`, and —
 //! when `--check BASELINE` is given — fails with exit code 1 if any
-//! scenario's median regresses beyond the tolerance.
+//! scenario's `completed` or `physical_reads` differs from the baseline,
+//! or its median regresses beyond the tolerance.
 //!
 //! ```text
 //! perf [--scale quick|default|paper] [--reps N] [--warmup N]
@@ -135,7 +136,8 @@ fn main() -> ExitCode {
         match compare_to_baseline(&report, &baseline, opts.tolerance) {
             Ok(regressions) if regressions.is_empty() => {
                 println!(
-                    "baseline check passed: no scenario slower than {:.0}% over {path}",
+                    "baseline check passed: work counters match and no scenario is \
+                     slower than {:.0}% over {path}",
                     opts.tolerance * 100.0
                 );
             }

@@ -698,10 +698,13 @@ pub struct Regression {
 }
 
 /// Compares `current` against `baseline`: every baseline scenario must
-/// be present in `current` and its median no more than `(1 + tolerance)`
-/// times the baseline median. Returns the scenarios that regressed
-/// (empty = pass). A scenario missing from `current` is an error — the
-/// matrix itself changed, so the baseline must be refreshed.
+/// be present in `current`, do exactly the baseline's simulated work
+/// (`completed` and `physical_reads`), and have a median no more than
+/// `(1 + tolerance)` times the baseline median. Returns the scenarios
+/// that regressed (empty = pass). A missing scenario or a changed work
+/// counter is an error whatever the timing: the counters are exact on
+/// any host, so a mismatch means the simulation itself changed and the
+/// baseline must be refreshed in the change that moved it.
 pub fn compare_to_baseline(
     current: &PerfReport,
     baseline: &PerfReport,
@@ -715,6 +718,18 @@ pub fn compare_to_baseline(
                 b.name
             ));
         };
+        for (counter, want, got) in [
+            ("completed", b.completed, c.completed),
+            ("physical_reads", b.physical_reads, c.physical_reads),
+        ] {
+            if got != want {
+                return Err(format!(
+                    "scenario '{}': {counter} is {got} but the baseline has {want}; \
+                     the simulated work changed, refresh the baseline",
+                    b.name
+                ));
+            }
+        }
         if b.median_ms > 0.0 && c.median_ms > b.median_ms * (1.0 + tolerance) {
             regressions.push(Regression {
                 scenario: b.name.clone(),
@@ -1097,6 +1112,12 @@ mod tests {
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].scenario, "engine-fifo");
         assert!((regs[0].ratio - 1.4).abs() < 1e-9);
+        // A faster run whose work counter is off by one is an error.
+        let mut off = base.clone();
+        off.scenarios[0].median_ms = base.scenarios[0].median_ms * 0.5;
+        off.scenarios[0].physical_reads += 1;
+        let err = compare_to_baseline(&off, &base, DEFAULT_TOLERANCE).unwrap_err();
+        assert!(err.contains("engine-fifo") && err.contains("physical_reads"));
         // A scenario missing from the current run is an error.
         cur.scenarios.remove(1);
         assert!(compare_to_baseline(&cur, &base, DEFAULT_TOLERANCE).is_err());

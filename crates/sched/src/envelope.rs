@@ -24,9 +24,6 @@
 //! against a brute-force oracle in `optimal.rs`).
 #![allow(clippy::cast_precision_loss)] // request counts used for ranking stay far below 2^53
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use tapesim_layout::Catalog;
 use tapesim_model::{Micros, ReadContext, SlotIndex, TapeId};
 use tapesim_workload::Request;
 
@@ -91,10 +88,6 @@ pub struct EnvelopeScheduler {
     /// Envelope from the most recent major reschedule, consulted and
     /// extended by the incremental scheduler during the sweep.
     env: Envelope,
-    /// Persistent index of the pending snapshot, delta-updated across
-    /// major reschedules so the upper-envelope computation never rescans
-    /// the whole pending list per tape.
-    index: EnvelopeIndex,
 }
 
 impl EnvelopeScheduler {
@@ -104,7 +97,6 @@ impl EnvelopeScheduler {
             policy,
             name: format!("envelope {}", policy.name()),
             env: Vec::new(),
-            index: EnvelopeIndex::default(),
         }
     }
 
@@ -117,13 +109,6 @@ impl EnvelopeScheduler {
     /// diagnostics).
     pub fn current_envelope(&self) -> &Envelope {
         &self.env
-    }
-
-    /// The persistent pending-set index (for tests and diagnostics).
-    /// Empty until a reschedule sees a snapshot large enough to cross
-    /// the indexed-driver threshold.
-    pub fn envelope_index(&self) -> &EnvelopeIndex {
-        &self.index
     }
 }
 
@@ -155,21 +140,7 @@ impl Scheduler for EnvelopeScheduler {
         if snapshot.is_empty() {
             return None;
         }
-        // The persistent index pays off once the snapshot is large enough
-        // to amortize its per-reschedule sync; below that the plain scan
-        // is faster. Both drivers produce the identical envelope (the
-        // property suite pins this), so the switch is purely a speed
-        // choice — and deterministic, since it depends only on the
-        // snapshot size.
-        let upper = if snapshot.len() >= INDEXED_ENVELOPE_THRESHOLD {
-            self.index.sync(view.catalog, &snapshot);
-            compute_upper_envelope_indexed(view, &snapshot, &self.index)
-        } else {
-            if !self.index.is_empty() {
-                self.index = EnvelopeIndex::default();
-            }
-            compute_upper_envelope(view, &snapshot)
-        };
+        let upper = compute_upper_envelope(view, &snapshot);
         let tape = select_envelope_tape(self.policy, view, &snapshot, &upper.env)?;
         let env_t = upper.env[tape.index()];
         let taken = pending.extract(|r| {
@@ -273,9 +244,6 @@ impl Scheduler for EnvelopeScheduler {
     }
 
     fn restore_state(&mut self, state: &str) -> Result<(), &'static str> {
-        // The index is derivable from the pending list; drop it and let
-        // the first post-restore sync rebuild it from scratch.
-        self.index = EnvelopeIndex::default();
         if state.is_empty() {
             self.env = Vec::new();
             return Ok(());
@@ -333,147 +301,6 @@ pub fn envelope_after_absorb(
     (env, assigned)
 }
 
-/// Snapshot size at which [`EnvelopeScheduler`] switches from the plain
-/// per-reschedule scan to the persistent [`EnvelopeIndex`]. Maintaining
-/// the index costs an ordered diff pass per reschedule; with the small
-/// pending sets of closed-queue paper runs that overhead exceeds the
-/// scan it replaces, so the index only engages for large backlogs.
-const INDEXED_ENVELOPE_THRESHOLD: usize = 512;
-
-/// Persistent index of the pending snapshot for incremental envelope
-/// recomputation.
-///
-/// A major reschedule recomputes the upper envelope from scratch; with a
-/// plain scan that costs O(tapes x pending) per extension-list rebuild
-/// plus a full pass to find the non-replicated pins. The index keeps
-/// three derived views of the pending set alive across reschedules:
-///
-/// * `members` — the requests indexed, keyed by id, so the next sync can
-///   diff instead of rescan;
-/// * `by_tape` — per tape, the sorted `(slot, request id)` pairs of every
-///   replica copy, so an extension-list rebuild walks exactly the
-///   entries on that tape;
-/// * `pins` — per tape, the slots pinned by non-replicated requests with
-///   a reference count, so the step-1 initial envelope is the last pin
-///   key per tape instead of a scan.
-///
-/// [`EnvelopeIndex::sync`] delta-updates all three from the snapshot:
-/// arrivals, completions, cancellations and availability changes all
-/// manifest as membership diffs, so the entry-maintenance cost is
-/// proportional to the churn since the previous reschedule, not to the
-/// pending-list length (the diff itself is one ordered pass over the
-/// snapshot).
-/// The indexed driver produces bit-identical envelopes, assignments and
-/// [`Micros`] costs to the scan-based one (asserted in debug builds and
-/// by the property suite in `tests/envelope_cache_props.rs`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EnvelopeIndex {
-    /// Indexed requests by id, for diffing against the next snapshot.
-    members: BTreeMap<u64, Request>,
-    /// Per tape: `(slot, request id)` for the canonical copy of every
-    /// member's block with a replica on that tape, sorted ascending.
-    by_tape: Vec<BTreeSet<(u32, u64)>>,
-    /// Per tape: slot -> number of non-replicated members pinning it.
-    pins: Vec<BTreeMap<u32, u32>>,
-}
-
-impl EnvelopeIndex {
-    /// Number of requests currently indexed.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the index holds no requests.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Delta-updates the index to match `snapshot` (the availability-
-    /// filtered pending list a major reschedule operates on). Requests
-    /// that left the snapshot are removed, new ones are added; a request
-    /// re-appearing with different fields under a reused id is treated as
-    /// remove + add.
-    pub fn sync(&mut self, catalog: &Catalog, snapshot: &[Request]) {
-        self.ensure_tapes(catalog.geometry().tapes as usize);
-        let mut current: BTreeMap<u64, Request> = BTreeMap::new();
-        for r in snapshot {
-            current.insert(r.id.0, *r);
-        }
-        let departed: Vec<Request> = self
-            .members
-            .values()
-            .filter(|r| current.get(&r.id.0).is_none_or(|c| c != *r))
-            .copied()
-            .collect();
-        for r in &departed {
-            self.members.remove(&r.id.0);
-            self.remove_entries(catalog, r);
-        }
-        for r in snapshot {
-            if let std::collections::btree_map::Entry::Vacant(slot) = self.members.entry(r.id.0) {
-                slot.insert(*r);
-                self.add_entries(catalog, r);
-            }
-        }
-    }
-
-    fn ensure_tapes(&mut self, tapes: usize) {
-        if self.by_tape.len() != tapes {
-            self.members.clear();
-            self.by_tape = vec![BTreeSet::new(); tapes];
-            self.pins = vec![BTreeMap::new(); tapes];
-        }
-    }
-
-    fn add_entries(&mut self, catalog: &Catalog, r: &Request) {
-        let replicas = catalog.replicas(r.block);
-        for a in replicas {
-            // Canonical copy per tape, matching `copy_on_tape` so the
-            // indexed extension lists equal the scan-based ones.
-            if let Some(c) = catalog.copy_on_tape(r.block, a.tape) {
-                self.by_tape[a.tape.index()].insert((c.slot.0, r.id.0));
-            }
-        }
-        if let [a] = replicas {
-            *self.pins[a.tape.index()].entry(a.slot.0).or_insert(0) += 1;
-        }
-    }
-
-    fn remove_entries(&mut self, catalog: &Catalog, r: &Request) {
-        let replicas = catalog.replicas(r.block);
-        for a in replicas {
-            if let Some(c) = catalog.copy_on_tape(r.block, a.tape) {
-                self.by_tape[a.tape.index()].remove(&(c.slot.0, r.id.0));
-            }
-        }
-        if let [a] = replicas {
-            let pins = &mut self.pins[a.tape.index()];
-            if let Some(count) = pins.get_mut(&a.slot.0) {
-                *count -= 1;
-                if *count == 0 {
-                    pins.remove(&a.slot.0);
-                }
-            } else {
-                debug_assert!(false, "pin missing on removal");
-            }
-        }
-    }
-
-    /// The step-1 initial envelope (non-replicated pins only; the caller
-    /// applies the mounted-head pin): per tape, one past the outermost
-    /// pinned slot.
-    fn initial_envelope(&self, tapes: usize) -> Envelope {
-        (0..tapes)
-            .map(|t| self.pins[t].keys().next_back().map_or(0, |&s| s + 1))
-            .collect()
-    }
-
-    /// The indexed `(slot, request id)` entries on `tape`, ascending.
-    fn tape_entries(&self, tape: TapeId) -> &BTreeSet<(u32, u64)> {
-        &self.by_tape[tape.index()]
-    }
-}
-
 /// Per-call cache of the per-tape extension lists and their prefix cost
 /// sums.
 ///
@@ -487,11 +314,11 @@ impl EnvelopeIndex {
 ///
 /// All cached quantities are exact integer [`Micros`] sums produced by
 /// the same incremental walk the uncached code performs, so a cache hit
-/// is bit-identical to a fresh recomputation — the property suite in
-/// `tests/envelope_cache_props.rs` asserts cached prefix costs equal
-/// [`prefix_cost`] and that the cached and always-rebuild drivers agree.
+/// is bit-identical to a fresh recomputation — the property tests below
+/// assert cached prefix costs equal [`prefix_cost`] and that the cached
+/// and always-rebuild drivers agree.
 #[derive(Debug, Clone, Default)]
-pub struct ExtensionCache {
+struct ExtensionCache {
     tapes: Vec<TapeExtension>,
 }
 
@@ -518,48 +345,52 @@ struct TapeExtension {
 
 impl ExtensionCache {
     /// An empty (all-stale) cache for a jukebox with `tapes` tapes.
-    pub fn new(tapes: usize) -> ExtensionCache {
+    fn new(tapes: usize) -> ExtensionCache {
         ExtensionCache {
             tapes: vec![TapeExtension::default(); tapes],
         }
     }
 
     /// Marks one tape's cached extension list stale.
-    pub fn invalidate(&mut self, tape: TapeId) {
+    fn invalidate(&mut self, tape: TapeId) {
         self.tapes[tape.index()].valid = false;
     }
 
     /// Marks every tape stale (used by the fresh-recomputation reference
-    /// driver the property suite compares against).
-    pub fn invalidate_all(&mut self) {
+    /// driver the property tests compare against).
+    fn invalidate_all(&mut self) {
         for t in &mut self.tapes {
             t.valid = false;
         }
     }
 
     /// Distinct extension slots cached for `tape`, ascending.
-    pub fn slots(&self, tape: TapeId) -> &[SlotIndex] {
+    #[cfg(test)]
+    fn slots(&self, tape: TapeId) -> &[SlotIndex] {
         &self.tapes[tape.index()].slots
     }
 
     /// Cached per-prefix extension costs for `tape`: entry `k` equals the
     /// tape-switch charge plus [`prefix_cost`] over `slots()[..=k]`.
-    pub fn prefix_costs(&self, tape: TapeId) -> &[Micros] {
+    #[cfg(test)]
+    fn prefix_costs(&self, tape: TapeId) -> &[Micros] {
         &self.tapes[tape.index()].costs
     }
 
     /// The envelope boundary the cached walk for `tape` started from.
-    pub fn start(&self, tape: TapeId) -> SlotIndex {
+    #[cfg(test)]
+    fn start(&self, tape: TapeId) -> SlotIndex {
         self.tapes[tape.index()].start
     }
 
     /// The tape-switch charge folded into every cached prefix cost.
-    pub fn switch_charge(&self, tape: TapeId) -> Micros {
+    #[cfg(test)]
+    fn switch_charge(&self, tape: TapeId) -> Micros {
         self.tapes[tape.index()].switch
     }
 
     /// Rebuilds `tape`'s extension list if it is stale.
-    pub fn refresh(
+    fn refresh(
         &mut self,
         view: &JukeboxView<'_>,
         pending: &[Request],
@@ -569,28 +400,6 @@ impl ExtensionCache {
     ) {
         if !self.tapes[tape.index()].valid {
             self.rebuild(view, pending, assigned, env, tape);
-        }
-    }
-
-    /// Rebuilds `tape`'s extension list if it is stale, sourcing the
-    /// unassigned entries from `source` (pending-list scan or persistent
-    /// index).
-    fn refresh_from(
-        &mut self,
-        view: &JukeboxView<'_>,
-        source: &ExtensionSource<'_>,
-        assigned: &[Option<TapeId>],
-        env: &Envelope,
-        tape: TapeId,
-    ) {
-        if self.tapes[tape.index()].valid {
-            return;
-        }
-        match source {
-            ExtensionSource::Scan { pending } => self.rebuild(view, pending, assigned, env, tape),
-            ExtensionSource::Index { index, by_id } => {
-                self.rebuild_indexed(view, index, by_id, assigned, env, tape);
-            }
         }
     }
 
@@ -605,6 +414,9 @@ impl ExtensionCache {
         let catalog = view.catalog;
         let ext = &mut self.tapes[tape.index()];
         ext.entries.clear();
+        ext.slots.clear();
+        ext.costs.clear();
+        ext.bws.clear();
         for (i, r) in pending.iter().enumerate() {
             if assigned[i].is_some() {
                 continue;
@@ -614,50 +426,6 @@ impl ExtensionCache {
                 ext.entries.push((a.slot, i));
             }
         }
-        Self::finish_rebuild(ext, view, env, tape);
-    }
-
-    /// Index-fed rebuild: walks only the `(slot, id)` entries recorded
-    /// for `tape` instead of the whole pending list. After the sort the
-    /// entry list is identical to [`ExtensionCache::rebuild`]'s, so all
-    /// downstream costs are bit-identical.
-    fn rebuild_indexed(
-        &mut self,
-        view: &JukeboxView<'_>,
-        index: &EnvelopeIndex,
-        by_id: &BTreeMap<u64, usize>,
-        assigned: &[Option<TapeId>],
-        env: &Envelope,
-        tape: TapeId,
-    ) {
-        let ext = &mut self.tapes[tape.index()];
-        ext.entries.clear();
-        for &(slot, id) in index.tape_entries(tape) {
-            let Some(&i) = by_id.get(&id) else {
-                debug_assert!(false, "index member {id} missing from snapshot");
-                continue;
-            };
-            if assigned[i].is_some() {
-                continue;
-            }
-            debug_assert!(slot >= env[tape.index()], "unscheduled inside envelope");
-            ext.entries.push((SlotIndex(slot), i));
-        }
-        Self::finish_rebuild(ext, view, env, tape);
-    }
-
-    /// Shared tail of a rebuild: sorts the collected entries and walks
-    /// each prefix incrementally, exactly as `prefix_cost` would for the
-    /// slots seen so far.
-    fn finish_rebuild(
-        ext: &mut TapeExtension,
-        view: &JukeboxView<'_>,
-        env: &Envelope,
-        tape: TapeId,
-    ) {
-        ext.slots.clear();
-        ext.costs.clear();
-        ext.bws.clear();
         ext.start = SlotIndex(env[tape.index()]);
         ext.switch = if ext.start == SlotIndex::BOT && view.mounted != Some(tape) {
             view.timing.switch_time()
@@ -669,7 +437,10 @@ impl ExtensionCache {
             return;
         }
         ext.entries.sort_unstable();
-        let block = view.catalog.block_size();
+
+        // Walk each prefix incrementally, exactly as `prefix_cost` would
+        // for the slots seen so far.
+        let block = catalog.block_size();
         let start = ext.start;
         let mut pos = start;
         let mut out_time = Micros::ZERO;
@@ -695,69 +466,37 @@ impl ExtensionCache {
     }
 }
 
-/// How the upper-envelope driver sources its extension lists.
-#[derive(Debug, Clone, Copy)]
-enum RebuildMode<'a> {
-    /// Scan the pending snapshot, reusing cached lists across iterations.
-    Cached,
-    /// Scan and rebuild every list on every iteration (reference driver).
-    Fresh,
-    /// Feed the cache from a persistent, delta-updated [`EnvelopeIndex`].
-    Indexed(&'a EnvelopeIndex),
-}
-
-/// Where an extension-list rebuild finds the unassigned requests.
-enum ExtensionSource<'a> {
-    /// Full scan of the pending snapshot.
-    Scan {
-        /// The pending snapshot.
-        pending: &'a [Request],
-    },
-    /// Walk of the per-tape index entries.
-    Index {
-        /// The persistent index (already synced to the snapshot).
-        index: &'a EnvelopeIndex,
-        /// Request id -> snapshot position.
-        by_id: &'a BTreeMap<u64, usize>,
-    },
-}
-
 /// Computes the upper envelope over a snapshot of the pending list,
 /// following Section 3.2's six steps. Reuses cached extension lists
 /// across iterations of the extension loop.
 pub fn compute_upper_envelope(view: &JukeboxView<'_>, pending: &[Request]) -> UpperEnvelope {
-    compute_upper_envelope_impl(view, pending, RebuildMode::Cached)
+    compute_upper_envelope_impl(view, pending, false)
 }
 
 /// Reference variant of [`compute_upper_envelope`] that rebuilds every
 /// extension list on every iteration instead of reusing the cache. Only
 /// exists so tests can assert the cached and fresh computations agree;
-/// schedulers always use a cached driver.
-pub fn compute_upper_envelope_fresh(view: &JukeboxView<'_>, pending: &[Request]) -> UpperEnvelope {
-    compute_upper_envelope_impl(view, pending, RebuildMode::Fresh)
+/// schedulers always use the cached driver.
+#[cfg(test)]
+fn compute_upper_envelope_fresh(view: &JukeboxView<'_>, pending: &[Request]) -> UpperEnvelope {
+    compute_upper_envelope_impl(view, pending, true)
 }
 
-/// Incremental variant of [`compute_upper_envelope`]: sources the initial
-/// envelope and every extension-list rebuild from `index`, which must
-/// have been [`EnvelopeIndex::sync`]ed against `pending`. Produces
-/// bit-identical output to the scan-based drivers (asserted in debug
-/// builds); the work per rebuild is proportional to the entries on the
-/// tape rather than the pending-list length.
-pub fn compute_upper_envelope_indexed(
+fn compute_upper_envelope_impl(
     view: &JukeboxView<'_>,
     pending: &[Request],
-    index: &EnvelopeIndex,
+    always_rebuild: bool,
 ) -> UpperEnvelope {
-    compute_upper_envelope_impl(view, pending, RebuildMode::Indexed(index))
-}
-
-/// Step 1: initial envelope from non-replicated requests (the mounted-
-/// head pin is applied by the caller). In the multi-drive extension,
-/// every request in `pending` must have a copy on an available tape (the
-/// caller filters), and unavailable tapes are never part of the envelope.
-fn scan_initial_envelope(view: &JukeboxView<'_>, pending: &[Request], tapes: usize) -> Envelope {
     let catalog = view.catalog;
+    let tapes = catalog.geometry().tapes as usize;
+    let n = pending.len();
     let mut env: Envelope = vec![0; tapes];
+
+    // Step 1: initial envelope from non-replicated requests; include the
+    // current head position on the mounted tape. In the multi-drive
+    // extension, every request in `pending` must have a copy on an
+    // available tape (the caller filters), and unavailable tapes are
+    // never part of the envelope.
     for r in pending {
         debug_assert!(
             catalog
@@ -771,49 +510,9 @@ fn scan_initial_envelope(view: &JukeboxView<'_>, pending: &[Request], tapes: usi
             *boundary = (*boundary).max(a.slot.0 + 1);
         }
     }
-    env
-}
-
-fn compute_upper_envelope_impl(
-    view: &JukeboxView<'_>,
-    pending: &[Request],
-    mode: RebuildMode<'_>,
-) -> UpperEnvelope {
-    let catalog = view.catalog;
-    let tapes = catalog.geometry().tapes as usize;
-    let n = pending.len();
-
-    let mut env: Envelope = match mode {
-        RebuildMode::Indexed(index) => {
-            let env = index.initial_envelope(tapes);
-            debug_assert_eq!(
-                env,
-                scan_initial_envelope(view, pending, tapes),
-                "index pins diverge from the snapshot scan"
-            );
-            env
-        }
-        RebuildMode::Cached | RebuildMode::Fresh => scan_initial_envelope(view, pending, tapes),
-    };
     if let Some(m) = view.mounted {
         env[m.index()] = env[m.index()].max(view.head.0);
     }
-
-    let by_id: BTreeMap<u64, usize> = match mode {
-        RebuildMode::Indexed(_) => pending
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id.0, i))
-            .collect(),
-        RebuildMode::Cached | RebuildMode::Fresh => BTreeMap::new(),
-    };
-    let source = match mode {
-        RebuildMode::Indexed(index) => ExtensionSource::Index {
-            index,
-            by_id: &by_id,
-        },
-        RebuildMode::Cached | RebuildMode::Fresh => ExtensionSource::Scan { pending },
-    };
 
     let mut assigned: Vec<Option<TapeId>> = vec![None; n];
     let mut counts: Vec<u32> = vec![0; tapes];
@@ -833,12 +532,12 @@ fn compute_upper_envelope_impl(
     let mut was_assigned: Vec<bool> = assigned.iter().map(Option::is_some).collect();
     let mut prev_env = env.clone();
     while assigned.iter().any(Option::is_none) {
-        if matches!(mode, RebuildMode::Fresh) {
+        if always_rebuild {
             cache.invalidate_all();
         }
         extend_once(
             view,
-            &source,
+            pending,
             &mut assigned,
             &mut counts,
             &mut env,
@@ -922,7 +621,7 @@ fn absorb(
 /// requests.
 fn extend_once(
     view: &JukeboxView<'_>,
-    source: &ExtensionSource<'_>,
+    pending: &[Request],
     assigned: &mut [Option<TapeId>],
     counts: &mut [u32],
     env: &mut Envelope,
@@ -942,7 +641,7 @@ fn extend_once(
         if !view.is_available(tape) {
             continue;
         }
-        cache.refresh_from(view, source, assigned, env, tape);
+        cache.refresh(view, pending, assigned, env, tape);
         let ext = &cache.tapes[tape.index()];
         let count = counts[tape.index()];
         for (k, &bw) in ext.bws.iter().enumerate() {
@@ -1187,9 +886,10 @@ fn select_envelope_tape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tapesim_layout::{BlockId, Catalog, CatalogBuilder};
+    use proptest::prelude::*;
+    use tapesim_layout::{build_placement, BlockId, Catalog, CatalogBuilder, PlacementConfig};
     use tapesim_model::{BlockSize, JukeboxGeometry, PhysicalAddr, SimTime, TimingModel};
-    use tapesim_workload::RequestId;
+    use tapesim_workload::{generate_trace, BlockSampler, RequestId};
 
     fn req(id: u64, blockid: u32) -> Request {
         Request {
@@ -1446,5 +1146,281 @@ mod tests {
         // D (index 3) is outside both initial envelopes.
         assert_eq!(assigned[3], None);
         assert!(assigned[..3].iter().all(Option::is_some));
+    }
+
+    // Property suite for the extension cache: the cached driver must be
+    // bit-identical to the fresh recomputation, and every cached prefix
+    // cost must equal an independent `prefix_cost` — exact equality, no
+    // tolerance.
+
+    const TAPES: u16 = 3;
+    const SLOTS: u32 = 500;
+
+    /// Builds a random catalog on `TAPES` tapes x `SLOTS` slots (1 MB
+    /// blocks), each block with the requested number of copies at random
+    /// slots. Returns `None` when the placement stream runs dry.
+    #[allow(clippy::cast_possible_truncation)] // at most 8 blocks per generated case
+    fn random_catalog(
+        placements: &[(u16, u32)],
+        copies_per_block: &[usize],
+    ) -> Option<(Catalog, Vec<BlockId>)> {
+        let g = JukeboxGeometry::new(TAPES, u64::from(SLOTS));
+        let blocks = copies_per_block.len() as u32;
+        let mut builder = Catalog::builder(g, BlockSize::from_mb(1), blocks, 0);
+        let mut it = placements.iter();
+        let mut ids = Vec::new();
+        for (b, &copies) in copies_per_block.iter().enumerate() {
+            let id = BlockId(b as u32);
+            ids.push(id);
+            let mut placed_tapes = Vec::new();
+            let mut placed = 0;
+            while placed < copies {
+                let &(t, s) = it.next()?;
+                let tape = TapeId(t % TAPES);
+                if placed_tapes.contains(&tape) {
+                    continue;
+                }
+                let addr = PhysicalAddr {
+                    tape,
+                    slot: SlotIndex(s % SLOTS),
+                };
+                if builder.place(id, addr).is_ok() {
+                    placed_tapes.push(tape);
+                    placed += 1;
+                }
+            }
+        }
+        builder.build().ok().map(|c| (c, ids))
+    }
+
+    fn one_request_per_block(ids: &[BlockId]) -> Vec<Request> {
+        ids.iter()
+            .enumerate()
+            .map(|(i, b)| req(i as u64, b.0))
+            .collect()
+    }
+
+    /// The availability filter a major reschedule applies.
+    fn available_snapshot(v: &JukeboxView<'_>, requests: &[Request]) -> Vec<Request> {
+        requests
+            .iter()
+            .filter(|r| {
+                v.catalog
+                    .replicas(r.block)
+                    .iter()
+                    .any(|a| v.is_available(a.tape))
+            })
+            .copied()
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn cached_envelope_equals_fresh_recomputation(
+            placements in proptest::collection::vec((0u16..TAPES, 0u32..SLOTS), 60),
+            copies in proptest::collection::vec(1usize..=3, 2..=8),
+            mounted in proptest::option::of(0u16..TAPES),
+            head in 0u32..SLOTS,
+        ) {
+            let Some((catalog, ids)) = random_catalog(&placements, &copies) else {
+                return Ok(());
+            };
+            let timing = TimingModel::paper_default();
+            let v = view(&catalog, &timing, mounted.map(TapeId), SlotIndex(head));
+            let pending = one_request_per_block(&ids);
+            let cached = compute_upper_envelope(&v, &pending);
+            let fresh = compute_upper_envelope_fresh(&v, &pending);
+            prop_assert_eq!(cached, fresh);
+        }
+
+        #[test]
+        fn cached_prefix_costs_match_fresh_prefix_cost(
+            placements in proptest::collection::vec((0u16..TAPES, 0u32..SLOTS), 60),
+            copies in proptest::collection::vec(1usize..=3, 2..=8),
+            mounted in proptest::option::of(0u16..TAPES),
+        ) {
+            let Some((catalog, ids)) = random_catalog(&placements, &copies) else {
+                return Ok(());
+            };
+            let timing = TimingModel::paper_default();
+            let v = view(&catalog, &timing, mounted.map(TapeId), SlotIndex(0));
+            let pending = one_request_per_block(&ids);
+            // Drive the cache exactly as the extension loop does: from the
+            // post-absorption envelope and assignment.
+            let (env, assigned) = envelope_after_absorb(&v, &pending);
+            let mut cache = ExtensionCache::new(TAPES as usize);
+            for t in 0..TAPES {
+                let tape = TapeId(t);
+                cache.refresh(&v, &pending, &assigned, &env, tape);
+                prop_assert_eq!(cache.start(tape), SlotIndex(env[tape.index()]));
+                let slots = cache.slots(tape).to_vec();
+                let costs = cache.prefix_costs(tape).to_vec();
+                prop_assert_eq!(slots.len(), costs.len());
+                for k in 0..slots.len() {
+                    let expect =
+                        cache.switch_charge(tape) + prefix_cost(&v, cache.start(tape), &slots[..=k]);
+                    prop_assert_eq!(
+                        costs[k],
+                        expect,
+                        "tape {} prefix {} diverges from fresh recomputation",
+                        t,
+                        k
+                    );
+                }
+            }
+        }
+
+        /// Membership churn (arrivals, completions/cancels, fault/fail-back
+        /// availability flips): the cached driver matches a from-scratch
+        /// computation at every step. The only property case with
+        /// unavailable tapes and with several requests for one block.
+        #[test]
+        fn cached_envelope_equals_fresh_across_membership_churn(
+            placements in proptest::collection::vec((0u16..TAPES, 0u32..SLOTS), 80),
+            copies in proptest::collection::vec(1usize..=3, 3..=8),
+            mounted in proptest::option::of(0u16..TAPES),
+            head in 0u32..SLOTS,
+            ops in proptest::collection::vec((0u16..4, 0u32..1000), 1..40),
+        ) {
+            let Some((catalog, ids)) = random_catalog(&placements, &copies) else {
+                return Ok(());
+            };
+            let timing = TimingModel::paper_default();
+            let mounted = mounted.map(TapeId);
+            let mut live: Vec<Request> = Vec::new();
+            let mut next_id: u64 = 0;
+            let mut unavailable: Vec<TapeId> = Vec::new();
+            for &(kind, payload) in &ops {
+                match kind {
+                    // Arrival (twice as likely as the other events).
+                    0 | 3 => {
+                        live.push(req(next_id, ids[payload as usize % ids.len()].0));
+                        next_id += 1;
+                    }
+                    // Completion or cancellation: one request leaves.
+                    1 => {
+                        if !live.is_empty() {
+                            live.remove(payload as usize % live.len());
+                        }
+                    }
+                    // Fault or fail-back: flip one tape's availability (the
+                    // mounted tape stays available, as in the simulator).
+                    // The view's contract keeps `unavailable` sorted.
+                    2 => {
+                        let tape =
+                            TapeId(u16::try_from(payload % u32::from(TAPES)).expect("reduced mod TAPES"));
+                        if mounted != Some(tape) {
+                            match unavailable.binary_search(&tape) {
+                                Ok(p) => {
+                                    unavailable.remove(p);
+                                }
+                                Err(p) => unavailable.insert(p, tape),
+                            }
+                        }
+                    }
+                    _ => unreachable!(),
+                }
+                let v = JukeboxView {
+                    unavailable: &unavailable,
+                    ..view(&catalog, &timing, mounted, SlotIndex(head))
+                };
+                let snapshot = available_snapshot(&v, &live);
+                if snapshot.is_empty() {
+                    continue;
+                }
+                let cached = compute_upper_envelope(&v, &snapshot);
+                let fresh = compute_upper_envelope_fresh(&v, &snapshot);
+                prop_assert_eq!(cached, fresh);
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_after_invalidate_reflects_new_assignments() {
+        // Two replicated blocks on tape 1; assigning one elsewhere and
+        // invalidating must shrink tape 1's extension list, while a refresh
+        // without invalidation keeps serving the cached (stale) list — the
+        // contract the extension loop relies on.
+        let g = JukeboxGeometry::new(TAPES, u64::from(SLOTS));
+        let mut b = Catalog::builder(g, BlockSize::from_mb(1), 2, 0);
+        place(&mut b, 0, 0, 10);
+        place(&mut b, 0, 1, 50);
+        place(&mut b, 1, 0, 300);
+        place(&mut b, 1, 1, 70);
+        let catalog = b.build().unwrap();
+        let timing = TimingModel::paper_default();
+        let v = view(&catalog, &timing, None, SlotIndex(0));
+        let pending = one_request_per_block(&[BlockId(0), BlockId(1)]);
+        let env = vec![0, 0, 0];
+        let mut assigned = vec![None, None];
+        let mut cache = ExtensionCache::new(TAPES as usize);
+        cache.refresh(&v, &pending, &assigned, &env, TapeId(1));
+        assert_eq!(cache.slots(TapeId(1)), &[SlotIndex(50), SlotIndex(70)]);
+
+        assigned[0] = Some(TapeId(0));
+        cache.refresh(&v, &pending, &assigned, &env, TapeId(1));
+        assert_eq!(
+            cache.slots(TapeId(1)),
+            &[SlotIndex(50), SlotIndex(70)],
+            "without invalidation the cached list is served as-is"
+        );
+
+        cache.invalidate(TapeId(1));
+        cache.refresh(&v, &pending, &assigned, &env, TapeId(1));
+        assert_eq!(cache.slots(TapeId(1)), &[SlotIndex(70)]);
+        assert_eq!(cache.prefix_costs(TapeId(1)).len(), 1);
+        assert_eq!(
+            cache.prefix_costs(TapeId(1))[0],
+            cache.switch_charge(TapeId(1)) + prefix_cost(&v, SlotIndex(0), &[SlotIndex(70)])
+        );
+    }
+
+    /// The deep-backlog regime the property cases (at most 8 blocks and
+    /// 40 requests) do not reach: the paper's full-replication layout,
+    /// over 512 pending requests with repeats, the head mid-tape on the
+    /// mounted tape and one tape held by another drive.
+    #[test]
+    fn cached_envelope_equals_fresh_on_a_deep_snapshot() {
+        let geometry = JukeboxGeometry::PAPER_DEFAULT;
+        let block = BlockSize::PAPER_DEFAULT;
+        let placed = build_placement(
+            geometry,
+            block,
+            PlacementConfig::paper_full_replication(geometry),
+        )
+        .unwrap();
+        let catalog = &placed.catalog;
+        let timing = TimingModel::paper_default();
+        let unavailable = [TapeId(7)];
+        let v = JukeboxView {
+            unavailable: &unavailable,
+            ..view(
+                catalog,
+                &timing,
+                Some(TapeId(3)),
+                SlotIndex(geometry.slots_per_tape(block) / 2),
+            )
+        };
+        let sampler = BlockSampler::from_catalog(catalog, 40.0);
+        let requests: Vec<Request> = generate_trace(&sampler, 640, 11)
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| req(i as u64, b.0))
+            .collect();
+        let snapshot = available_snapshot(&v, &requests);
+        assert!(
+            (512..requests.len()).contains(&snapshot.len()),
+            "the unavailable tape must filter some requests and leave at least 512, left {}",
+            snapshot.len()
+        );
+        // Hundreds of requests are left for the extension loop.
+        let (_, absorbed) = envelope_after_absorb(&v, &snapshot);
+        assert!(absorbed.iter().filter(|a| a.is_none()).count() >= 100);
+        assert_eq!(
+            compute_upper_envelope(&v, &snapshot),
+            compute_upper_envelope_fresh(&v, &snapshot)
+        );
     }
 }

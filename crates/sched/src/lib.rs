@@ -39,8 +39,7 @@ pub use cost::{
 };
 pub use ec::{choose_shards, read_envelope, shard_pick_cost};
 pub use envelope::{
-    compute_upper_envelope, compute_upper_envelope_fresh, compute_upper_envelope_indexed,
-    prefix_cost, EnvelopeIndex, EnvelopePolicy, EnvelopeScheduler, ExtensionCache, UpperEnvelope,
+    compute_upper_envelope, prefix_cost, EnvelopePolicy, EnvelopeScheduler, UpperEnvelope,
 };
 pub use families::{DynamicScheduler, StaticScheduler};
 pub use fifo::FifoScheduler;

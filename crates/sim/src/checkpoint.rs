@@ -51,6 +51,7 @@ use tapesim_workload::{Request, RequestId};
 
 use crate::error::SimError;
 use crate::metrics::MetricsSnapshot;
+use crate::trace::jsonl::parse_flat_object;
 
 /// Current checkpoint schema version. Bumped whenever the line grammar or
 /// the state captured changes incompatibly. Version 2 added the transient
@@ -724,43 +725,6 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
         .map_err(|_| format!("{what} '{s}' is not an integer"))
 }
 
-/// Parses one flat JSON object of the checkpoint schema (same grammar as
-/// the trace schema: quoted keys, integer / string / boolean values, no
-/// nesting).
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let mut map = BTreeMap::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',');
-        let key_start = rest.strip_prefix('"').ok_or("expected quoted key")?;
-        let key_end = key_start.find('"').ok_or("unterminated key")?;
-        let key = &key_start[..key_end];
-        let after = key_start[key_end + 1..]
-            .strip_prefix(':')
-            .ok_or("expected ':' after key")?;
-        let (value, remainder) = if let Some(v) = after.strip_prefix('"') {
-            let end = v.find('"').ok_or("unterminated string value")?;
-            (v[..end].to_string(), &v[end + 1..])
-        } else {
-            let end = after.find(',').unwrap_or(after.len());
-            if after[..end].is_empty() {
-                return Err(format!("empty value for key '{key}'"));
-            }
-            (after[..end].to_string(), &after[end..])
-        };
-        if map.insert(key.to_string(), value).is_some() {
-            return Err(format!("duplicate key '{key}'"));
-        }
-        rest = remainder;
-    }
-    Ok(map)
-}
-
 struct Fields<'a> {
     map: &'a BTreeMap<String, String>,
 }
@@ -1361,6 +1325,15 @@ mod tests {
         assert_eq!(back, c);
         // Serialization is deterministic.
         assert_eq!(to_text(&back), text);
+        // An envelope scheduler checkpointed before its first reschedule
+        // writes an empty state string.
+        let c = Checkpoint {
+            sched_state: Some(String::new()),
+            ..c
+        };
+        let text = to_text(&c);
+        assert!(text.contains("\"state\":\"\""));
+        assert_eq!(from_text(&text).expect("parse back"), c);
     }
 
     #[test]

@@ -183,10 +183,13 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Parses one flat JSON object of the trace schema into its fields, in
-/// line order. Values keep their textual form (`"forward"` keeps its
-/// quotes stripped; numbers and booleans stay as written).
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
+/// Parses one flat JSON object (quoted keys, integer / string / boolean
+/// values, no nesting) into its fields. Shared by the trace and
+/// checkpoint parsers. Values keep their textual form (`"forward"` keeps
+/// its quotes stripped; numbers and booleans stay as written). An empty
+/// bare value is an error; an empty quoted value `""` is accepted, and a
+/// caller whose schema has no empty strings rejects it itself.
+pub(crate) fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
     let body = line
         .trim()
         .strip_prefix('{')
@@ -207,11 +210,11 @@ fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
             (v[..end].to_string(), &v[end + 1..])
         } else {
             let end = after.find(',').unwrap_or(after.len());
+            if after[..end].is_empty() {
+                return Err(format!("empty value for key '{key}'"));
+            }
             (after[..end].to_string(), &after[end..])
         };
-        if value.is_empty() {
-            return Err(format!("empty value for key '{key}'"));
-        }
         if map.insert(key.to_string(), value).is_some() {
             return Err(format!("duplicate key '{key}'"));
         }
@@ -232,6 +235,13 @@ pub fn parse(text: &str) -> Result<Vec<BTreeMap<String, String>>, ParseError> {
             line: i + 1,
             message,
         })?;
+        // No trace field is ever an empty string.
+        if let Some((key, _)) = map.iter().find(|(_, v)| v.is_empty()) {
+            return Err(ParseError {
+                line: i + 1,
+                message: format!("empty value for key '{key}'"),
+            });
+        }
         for required in ["seq", "t_us", "drive", "ev"] {
             if !map.contains_key(required) {
                 return Err(ParseError {
@@ -665,5 +675,7 @@ mod tests {
         assert!(parse("{\"seq\":1}").is_err()); // missing required fields
         let err = parse("{\"seq\":1,\"t_us\":2,\"drive\":0}").unwrap_err();
         assert!(err.to_string().contains("ev"));
+        let err = parse("{\"seq\":1,\"t_us\":2,\"drive\":0,\"ev\":\"\"}").unwrap_err();
+        assert!(err.to_string().contains("empty value for key 'ev'"));
     }
 }
