@@ -45,12 +45,13 @@ fn main() {
                     );
                     let mut sched = make_scheduler(alg);
                     reports.push(
-                        run_simulation(
+                        run_multi_drive(
                             &placed.catalog,
                             &timing,
                             sched.as_mut(),
                             &mut factory,
                             &sim,
+                            1,
                         )
                         .expect("clustered config is valid"),
                     );

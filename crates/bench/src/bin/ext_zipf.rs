@@ -9,7 +9,6 @@
 //! smoother skew.
 
 use tapesim::prelude::*;
-use tapesim::sim::run_simulation;
 use tapesim::workload::ZipfSampler;
 use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
 
@@ -31,8 +30,15 @@ fn run_zipf(
                 seed,
             );
             let mut sched = make_scheduler(alg);
-            run_simulation(&placed.catalog, &timing, sched.as_mut(), &mut factory, sim)
-                .expect("zipf config is valid")
+            run_multi_drive(
+                &placed.catalog,
+                &timing,
+                sched.as_mut(),
+                &mut factory,
+                sim,
+                1,
+            )
+            .expect("zipf config is valid")
         })
         .collect();
     MetricsReport::mean_of(&reports)

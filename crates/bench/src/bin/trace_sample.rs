@@ -14,7 +14,7 @@
 use tapesim::model::FaultConfig;
 use tapesim::prelude::*;
 use tapesim::sim::trace::summarize;
-use tapesim::sim::{check_trace, run_simulation_traced, MemorySink};
+use tapesim::sim::{check_trace, run_multi_drive_traced, MemorySink};
 use tapesim_bench::{write_trace, HarnessOpts};
 
 fn main() {
@@ -39,12 +39,13 @@ fn main() {
     let mut factory = RequestFactory::new(sampler, process, 7);
     let mut sched = make_scheduler(AlgorithmId::paper_recommended());
     let mut sink = MemorySink::new();
-    let report = run_simulation_traced(
+    let report = run_multi_drive_traced(
         &placed.catalog,
         &timing,
         sched.as_mut(),
         &mut factory,
         &cfg,
+        1,
         &FaultConfig::NONE,
         0,
         &mut sink,

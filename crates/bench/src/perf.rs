@@ -8,7 +8,7 @@
 //!
 //! | name                | exercises                                          |
 //! |---------------------|----------------------------------------------------|
-//! | `engine-fifo`       | single-drive engine, trivial scheduling            |
+//! | `engine-fifo`       | the read core on one drive, trivial scheduling     |
 //! | `envelope-heavy`    | envelope extension under full replication, NR-9    |
 //! | `multi-drive`       | the 4-drive engine, dynamic max-bandwidth          |
 //! | `faulted`           | fault injection + replica failover, NR-2           |
@@ -64,7 +64,7 @@ use tapesim::layout::BlockId;
 use tapesim::model::FaultConfig;
 use tapesim::model::{JukeboxGeometry, Micros, SimTime};
 use tapesim::sim::{
-    run_simulation_traced, AdmissionPolicy, JukeboxService, NullSink, RunSpec, ServiceConfig,
+    run_multi_drive_traced, AdmissionPolicy, JukeboxService, NullSink, RunSpec, ServiceConfig,
     SimConfig, SimError, SteppedMultiDrive,
 };
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
@@ -88,7 +88,7 @@ pub const DEFAULT_TOLERANCE: f64 = 0.30;
 pub enum ScenarioRoute {
     /// The plain runner ([`tapesim::sim::run_one`]).
     Runner,
-    /// [`run_simulation_traced`] with a [`NullSink`] (times the traced
+    /// [`run_multi_drive_traced`] with a [`NullSink`] (times the traced
     /// entry point; a disabled sink must cost nothing).
     TracedNullSink,
     /// The [`JukeboxService`] layer over the stepped multi-drive core:
@@ -383,12 +383,13 @@ pub fn run_scenario(
             let mut factory =
                 RequestFactory::new_clustered(sampler, cfg.process, cfg.cluster_run_p, seed);
             let mut scheduler = make_scheduler(cfg.algorithm);
-            run_simulation_traced(
+            run_multi_drive_traced(
                 &placed.catalog,
                 &cfg.timing,
                 scheduler.as_mut(),
                 &mut factory,
                 sim,
+                cfg.drives,
                 &cfg.faults,
                 seed,
                 &mut NullSink,

@@ -79,6 +79,6 @@ pub mod prelude {
     pub use tapesim_sched::{
         make_scheduler, AlgorithmId, EnvelopePolicy, Scheduler, TapeSelectPolicy,
     };
-    pub use tapesim_sim::{run_simulation, MetricsReport, RunSpec, SimConfig, SimError};
+    pub use tapesim_sim::{run_multi_drive, MetricsReport, RunSpec, SimConfig, SimError};
     pub use tapesim_workload::{ArrivalProcess, BlockSampler, Request, RequestFactory};
 }

@@ -55,15 +55,16 @@ use crate::trace::jsonl::parse_flat_object;
 
 /// Current checkpoint schema version. Bumped whenever the line grammar or
 /// the state captured changes incompatibly. Version 2 added the transient
-/// copy-heal state (`heal_rng`, `healing`) to the faults line.
-pub const SCHEMA_VERSION: u32 = 2;
+/// copy-heal state (`heal_rng`, `healing`) to the faults line. Version 3
+/// dropped the `single` engine: one-drive runs step the read core and
+/// write `multi` checkpoints.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Which engine wrote a checkpoint. Resuming a checkpoint into a
 /// different engine is a configuration mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// [`crate::run_simulation_traced`] and friends.
-    Single,
+    /// The read core, [`crate::SteppedMultiDrive`], at any drive count:
     /// [`crate::run_multi_drive_traced`] and friends.
     Multi,
     /// [`crate::run_with_writeback_traced`] and friends.
@@ -74,7 +75,6 @@ impl EngineKind {
     /// Stable name written into the header line.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Single => "single",
             EngineKind::Multi => "multi",
             EngineKind::WriteBack => "writeback",
         }
@@ -82,7 +82,6 @@ impl EngineKind {
 
     fn from_name(s: &str) -> Option<Self> {
         match s {
-            "single" => Some(EngineKind::Single),
             "multi" => Some(EngineKind::Multi),
             "writeback" => Some(EngineKind::WriteBack),
             _ => None,
@@ -176,8 +175,8 @@ pub struct DriveCheckpoint {
     pub mounted: Option<TapeId>,
     /// Head position.
     pub head: SlotIndex,
-    /// In-flight sweep plan (multi-drive engine only; the single-drive
-    /// engines checkpoint between sweeps).
+    /// In-flight sweep plan (read core only; the write-back engine
+    /// checkpoints between sweeps).
     pub plan: Option<SweepPlan>,
     /// Phase of the last traced read in the current sweep.
     pub cur_phase: Option<SweepPhase>,
@@ -260,7 +259,7 @@ pub struct Checkpoint {
     pub sched_state: Option<String>,
     /// Fault-injector state, present when fault injection is active.
     pub faults: Option<FaultSnapshot>,
-    /// Per-drive state (exactly one entry for the single-drive engines).
+    /// Per-drive state (exactly one entry for the write-back engine).
     pub drives: Vec<DriveCheckpoint>,
     /// Multi-drive extras.
     pub multi: Option<MultiCheckpoint>,
@@ -1419,7 +1418,7 @@ mod tests {
         assert!(matches!(from_text(""), Err(SimError::CheckpointCorrupt(_))));
         // Valid framing, malformed payload.
         let bad = format!(
-            "{{\"k\":\"header\",\"version\":{SCHEMA_VERSION},\"engine\":\"single\",\
+            "{{\"k\":\"header\",\"version\":{SCHEMA_VERSION},\"engine\":\"multi\",\
              \"fingerprint\":1,\"now_us\":nope,\"trace_seq\":0}}\n{{\"k\":\"end\",\"lines\":1}}\n"
         );
         let bad = bad.as_str();

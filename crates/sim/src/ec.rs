@@ -47,10 +47,9 @@ use tapesim_model::{FaultConfig, SimTime, TapeId, TimingModel};
 use tapesim_sched::Scheduler;
 use tapesim_workload::{ArrivalProcess, BlockSampler, Request, RequestFactory, RequestId};
 
-use crate::engine::SimConfig;
 use crate::error::SimError;
 use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::multidrive::SteppedMultiDrive;
+use crate::multidrive::{SimConfig, SteppedMultiDrive};
 use crate::stepped::EngineEvent;
 use crate::trace::NullSink;
 
@@ -589,12 +588,13 @@ mod tests {
         let sampler = BlockSampler::from_catalog(&catalog, 40.0);
         let mut factory =
             RequestFactory::new(sampler, ArrivalProcess::Closed { queue_length: 10 }, 1);
-        let err = crate::engine::run_simulation(
+        let err = crate::multidrive::run_multi_drive(
             &catalog,
             &TimingModel::paper_default(),
             sched.as_mut(),
             &mut factory,
             &quick_cfg(),
+            1,
         )
         .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));

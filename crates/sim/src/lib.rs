@@ -4,10 +4,13 @@
 //! *Scheduling and Data Replication to Improve Tape Jukebox Performance*
 //! (ICDE 1999), Section 2.2.
 //!
-//! The [`engine`] executes the four-step service loop (major reschedule,
-//! tape switch, sweep execution with incremental scheduling of arrivals,
-//! idle wait) against any [`tapesim_sched::Scheduler`], a
+//! The read core, [`SteppedMultiDrive`] in [`multidrive`], executes the
+//! four-step service loop (major reschedule, tape switch, sweep execution
+//! with incremental scheduling of arrivals, idle wait) for each of one or
+//! more drives, against any [`tapesim_sched::Scheduler`], a
 //! [`tapesim_layout::Catalog`], and a [`tapesim_workload::RequestFactory`].
+//! One drive is the paper's configuration. [`writeback`] keeps its own
+//! single-drive core for the delta-destage extension.
 //! [`metrics`] collects throughput/delay/switch statistics over a
 //! measurement window, and [`runner`] averages runs across seeds in
 //! parallel. [`trace`] records the per-event timeline of a run (mounts,
@@ -19,7 +22,6 @@
 
 pub mod checkpoint;
 pub mod ec;
-pub mod engine;
 pub mod error;
 pub mod metrics;
 pub mod multidrive;
@@ -31,15 +33,11 @@ pub mod writeback;
 
 pub use checkpoint::{Checkpoint, CheckpointOpts, EngineKind};
 pub use ec::run_erasure_simulation;
-pub use engine::{
-    run_simulation, run_simulation_checkpointed, run_simulation_traced, run_simulation_with_faults,
-    SimConfig, SteppedEngine,
-};
 pub use error::SimError;
 pub use metrics::{DelayPercentiles, MetricsCollector, MetricsReport};
 pub use multidrive::{
     run_fleet, run_fleet_traced, run_multi_drive, run_multi_drive_checkpointed,
-    run_multi_drive_traced, run_multi_drive_with_faults, SteppedMultiDrive,
+    run_multi_drive_traced, run_multi_drive_with_faults, SimConfig, SteppedMultiDrive,
 };
 pub use runner::{default_seeds, run_one, run_paired, run_seeds, run_seeds_pooled, RunSpec};
 pub use service::{

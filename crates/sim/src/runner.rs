@@ -9,10 +9,9 @@ use tapesim_model::{substream, FaultConfig, TimingModel};
 use tapesim_sched::{make_scheduler, AlgorithmId};
 use tapesim_workload::{ArrivalProcess, BlockSampler, RequestFactory};
 
-use crate::engine::{run_simulation_with_faults, SimConfig};
 use crate::error::SimError;
 use crate::metrics::{DelayPercentiles, MetricsReport};
-use crate::multidrive::run_multi_drive_with_faults;
+use crate::multidrive::{run_multi_drive_with_faults, SimConfig};
 
 /// Substream offset deriving a run's fault seed from its workload seed
 /// (offsets below `0x100` are reserved by `tapesim_model::faults`).
@@ -34,8 +33,9 @@ pub struct RunSpec<'a> {
     /// Probability of continuing a sequential run (0 = the paper's
     /// independent stream; see the clustered-workload extension).
     pub cluster_run_p: f64,
-    /// Number of tape drives (1 = the paper's configuration; more uses
-    /// the multi-drive extension engine).
+    /// Number of tape drives (1 = the paper's configuration; more is the
+    /// multi-drive extension). Zero is rejected with
+    /// [`SimError::InvalidConfig`].
     pub drives: u16,
     /// Horizon, warmup, and overload bound.
     pub config: SimConfig,
@@ -51,29 +51,16 @@ pub fn run_one(spec: &RunSpec<'_>, seed: u64) -> Result<MetricsReport, SimError>
     let mut factory =
         RequestFactory::new_clustered(sampler, spec.process, spec.cluster_run_p, seed);
     let mut scheduler = make_scheduler(spec.algorithm);
-    let fault_seed = substream(seed, FAULT_SEED_STREAM);
-    if spec.drives <= 1 {
-        run_simulation_with_faults(
-            spec.catalog,
-            spec.timing,
-            scheduler.as_mut(),
-            &mut factory,
-            &spec.config,
-            &spec.faults,
-            fault_seed,
-        )
-    } else {
-        run_multi_drive_with_faults(
-            spec.catalog,
-            spec.timing,
-            scheduler.as_mut(),
-            &mut factory,
-            &spec.config,
-            spec.drives,
-            &spec.faults,
-            fault_seed,
-        )
-    }
+    run_multi_drive_with_faults(
+        spec.catalog,
+        spec.timing,
+        scheduler.as_mut(),
+        &mut factory,
+        &spec.config,
+        spec.drives,
+        &spec.faults,
+        substream(seed, FAULT_SEED_STREAM),
+    )
 }
 
 /// Runs the specification under each seed (in parallel) and returns the
@@ -153,12 +140,13 @@ pub fn run_paired(
         .map(|&alg| {
             let mut factory = RequestFactory::from_trace(trace.clone(), process, seed);
             let mut scheduler = make_scheduler(alg);
-            run_simulation_with_faults(
+            run_multi_drive_with_faults(
                 catalog,
                 timing,
                 scheduler.as_mut(),
                 &mut factory,
                 config,
+                1,
                 &FaultConfig::NONE,
                 0,
             )
@@ -229,6 +217,24 @@ mod tests {
             run_seeds(&spec, &[]),
             Err(SimError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn zero_drives_is_an_error() {
+        let placed = catalog();
+        let timing = TimingModel::paper_default();
+        let spec = RunSpec {
+            catalog: &placed.catalog,
+            timing: &timing,
+            algorithm: AlgorithmId::Fifo,
+            process: ArrivalProcess::Closed { queue_length: 10 },
+            rh_percent: 40.0,
+            cluster_run_p: 0.0,
+            drives: 0,
+            config: SimConfig::quick(),
+            faults: FaultConfig::NONE,
+        };
+        assert!(matches!(run_one(&spec, 1), Err(SimError::InvalidConfig(_))));
     }
 
     #[test]

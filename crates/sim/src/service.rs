@@ -544,7 +544,7 @@ impl<'a> JukeboxService<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SimConfig;
+    use crate::multidrive::SimConfig;
     use crate::trace::{MemorySink, NullSink};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;

@@ -1,17 +1,19 @@
 //! Shared vocabulary of the poll-driven stepped engine cores.
 //!
-//! Every batch entry point (`run_simulation*`, `run_multi_drive*`,
-//! `run_with_writeback*`) is a thin driver over a stepped core:
-//! construct the core, call [`step`](crate::SteppedEngine::step) until it
-//! reports completion, then `finish()` for the report. A `step()`
-//! executes exactly the statements the old monolithic loop executed for
-//! one event, in the same order, so a stepped run and a batch run of the
-//! same configuration produce **byte-identical traces and exactly equal
-//! metrics reports** — the equivalence contract defended by
+//! There are two stepped cores: the read core
+//! [`SteppedMultiDrive`](crate::SteppedMultiDrive), which runs one drive
+//! (the paper's configuration) or more, and the write-back core
+//! [`SteppedWriteBack`](crate::SteppedWriteBack). Every batch entry point
+//! (`run_multi_drive*`, `run_fleet*`, `run_with_writeback*`) is a thin
+//! driver over one of them: construct the core, call
+//! [`step`](crate::SteppedMultiDrive::step) until it reports completion,
+//! then `finish()` for the report. So a stepped run and a batch run of
+//! the same configuration produce **byte-identical traces and exactly
+//! equal metrics reports** — the equivalence contract defended by
 //! `tests/tests/stepped_differential.rs`.
 //!
-//! The cores also run in *external-arrival* mode (no workload factory
-//! draws): requests enter through `submit_at` and leave through
+//! The read core also runs in *external-arrival* mode (no workload
+//! factory draws): requests enter through `submit_at` and leave through
 //! [`EngineEvent`]s drained between steps. This is the substrate of the
 //! [`crate::service::JukeboxService`] layer.
 

@@ -14,7 +14,7 @@
 //! Tracing is zero-cost when disabled: the engines consult
 //! [`TraceSink::enabled`] once per run and skip event construction
 //! entirely for the [`NullSink`], so the untraced entry points
-//! ([`crate::run_simulation`] and friends) pay only a cached branch.
+//! ([`crate::run_multi_drive`] and friends) pay only a cached branch.
 //!
 //! On top of the raw stream sit:
 //!

@@ -41,9 +41,9 @@ use tapesim_workload::RequestFactory;
 use crate::checkpoint::{
     self, Checkpoint, CheckpointOpts, DriveCheckpoint, EngineKind, WriteBackCheckpoint,
 };
-use crate::engine::SimConfig;
 use crate::error::SimError;
 use crate::metrics::{MetricsCollector, MetricsReport};
+use crate::multidrive::SimConfig;
 use crate::stepped::StepOutcome;
 use crate::trace::{NullSink, TraceEvent, TraceSink, Tracer, SYSTEM_DRIVE};
 use crate::trace_event;
@@ -196,7 +196,7 @@ pub fn run_with_writeback_checkpointed(
 /// clock accordingly. [`finish`](SteppedWriteBack::finish) closes the
 /// accounting and yields the [`WriteBackReport`].
 ///
-/// Unlike [`crate::SteppedEngine`] there is no external-arrival mode:
+/// Unlike [`crate::SteppedMultiDrive`] there is no external-arrival mode:
 /// the write-back study only makes sense against the generated open
 /// Poisson read stream whose idle time it measures.
 pub struct SteppedWriteBack<'a> {

@@ -3,8 +3,8 @@
 //! The contract under test: a run checkpointed at any boundary and
 //! resumed from that checkpoint produces a byte-identical trace suffix
 //! and an exactly equal final report compared to the uninterrupted run —
-//! across schedulers, drive counts, fault configurations, and all three
-//! engines. Malformed checkpoints (truncated, corrupted, wrong schema
+//! across schedulers, drive counts, fault configurations, and both
+//! engines (the read core and the write-back core). Malformed checkpoints (truncated, corrupted, wrong schema
 //! version, wrong configuration) must surface as typed [`SimError`]s,
 //! never panics.
 
@@ -18,9 +18,8 @@ use tapesim::sched::{make_scheduler, AlgorithmId};
 use tapesim::sim::checkpoint::{self, CheckpointOpts};
 use tapesim::sim::trace::jsonl;
 use tapesim::sim::{
-    run_multi_drive_checkpointed, run_simulation_checkpointed, run_with_writeback_checkpointed,
-    FlushPolicy, MemorySink, MetricsReport, SimConfig, SimError, TraceRecord, WriteBackConfig,
-    WriteBackReport,
+    run_multi_drive_checkpointed, run_with_writeback_checkpointed, FlushPolicy, MemorySink,
+    MetricsReport, SimConfig, SimError, TraceRecord, WriteBackConfig, WriteBackReport,
 };
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
 
@@ -84,34 +83,19 @@ fn run(sc: &Scenario, opts: &CheckpointOpts) -> (Vec<TraceRecord>, MetricsReport
     let mut sched = make_scheduler(sc.algorithm);
     let mut sink = MemorySink::new();
     let faults = faults_for(sc.fault_pick);
-    let report = if sc.drives <= 1 {
-        run_simulation_checkpointed(
-            &placed.catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &cfg,
-            &faults,
-            sc.seed ^ 0xFA17,
-            &mut sink,
-            opts,
-        )
-        .unwrap()
-    } else {
-        run_multi_drive_checkpointed(
-            &placed.catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &cfg,
-            sc.drives,
-            &faults,
-            sc.seed ^ 0xFA17,
-            &mut sink,
-            opts,
-        )
-        .unwrap()
-    };
+    let report = run_multi_drive_checkpointed(
+        &placed.catalog,
+        &timing,
+        sched.as_mut(),
+        &mut factory,
+        &cfg,
+        sc.drives,
+        &faults,
+        sc.seed ^ 0xFA17,
+        &mut sink,
+        opts,
+    )
+    .unwrap();
     (sink.into_events(), report)
 }
 
@@ -321,7 +305,7 @@ fn resume_of_a_resume_still_matches() {
 // Robustness: malformed checkpoints are typed errors, never panics.
 // ---------------------------------------------------------------------
 
-/// Produces a valid single-drive checkpoint file and its scenario.
+/// Produces a valid one-drive checkpoint file and its scenario.
 fn valid_checkpoint(tag: &str) -> (Scenario, PathBuf) {
     let sc = Scenario {
         algorithm: AlgorithmId::Fifo,
@@ -355,12 +339,13 @@ fn resume_error(sc: &Scenario, path: &Path) -> SimError {
     );
     let mut sched = make_scheduler(sc.algorithm);
     let mut sink = MemorySink::new();
-    run_simulation_checkpointed(
+    run_multi_drive_checkpointed(
         &placed.catalog,
         &timing,
         sched.as_mut(),
         &mut factory,
         &SimConfig::quick(),
+        sc.drives,
         &faults_for(sc.fault_pick),
         sc.seed ^ 0xFA17,
         &mut sink,
@@ -454,33 +439,13 @@ fn version_mismatch_is_a_typed_error() {
 #[test]
 fn zero_checkpoint_interval_is_a_typed_error() {
     // Regression: a zero periodic interval has no next-checkpoint
-    // instant; all three engines must refuse it up front instead of
-    // spinning in the schedule computation.
+    // instant; both engines must refuse it up front instead of spinning
+    // in the schedule computation.
     let placed = catalog();
     let timing = TimingModel::paper_default();
     let cfg = SimConfig::quick();
     let bad = CheckpointOpts::checkpoint_every(Micros::ZERO, tmp_path("zero"));
     let process = ArrivalProcess::Closed { queue_length: 25 };
-
-    let sampler = BlockSampler::from_catalog(&placed.catalog, 40.0);
-    let mut factory = RequestFactory::new(sampler, process, 7);
-    let mut sched = make_scheduler(AlgorithmId::Fifo);
-    let mut sink = MemorySink::new();
-    let err = run_simulation_checkpointed(
-        &placed.catalog,
-        &timing,
-        sched.as_mut(),
-        &mut factory,
-        &cfg,
-        &FaultConfig::NONE,
-        7,
-        &mut sink,
-        &bad,
-    );
-    assert!(
-        matches!(err, Err(SimError::InvalidConfig(_))),
-        "single-drive engine must refuse a zero interval"
-    );
 
     let sampler = BlockSampler::from_catalog(&placed.catalog, 40.0);
     let mut factory = RequestFactory::new(sampler, process, 7);
@@ -500,7 +465,7 @@ fn zero_checkpoint_interval_is_a_typed_error() {
     );
     assert!(
         matches!(err, Err(SimError::InvalidConfig(_))),
-        "multi-drive engine must refuse a zero interval"
+        "read core must refuse a zero interval"
     );
 
     let sampler = BlockSampler::from_catalog(&placed.catalog, 40.0);
@@ -560,7 +525,8 @@ fn resume_into_different_config_is_refused() {
         ),
         "different seed must be CheckpointConfigMismatch"
     );
-    // Different engine (same checkpoint into the multi-drive runner).
+    // Different drive count (the same one-drive checkpoint into a
+    // four-drive run).
     let placed = catalog();
     let timing = TimingModel::paper_default();
     let sampler = BlockSampler::from_catalog(&placed.catalog, 40.0);
@@ -583,10 +549,10 @@ fn resume_into_different_config_is_refused() {
         &mut sink,
         &CheckpointOpts::resume_from(&path),
     )
-    .expect_err("single-drive checkpoint into multi-drive engine must fail");
+    .expect_err("one-drive checkpoint into a four-drive run must fail");
     assert!(
         matches!(err, SimError::CheckpointConfigMismatch { .. }),
-        "wrong engine must be CheckpointConfigMismatch, got {err:?}"
+        "wrong drive count must be CheckpointConfigMismatch, got {err:?}"
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -61,12 +61,13 @@ fn zipf_stream_served_end_to_end() {
     let mut factory =
         RequestFactory::new_zipf(sampler, ArrivalProcess::Closed { queue_length: 60 }, 3);
     let mut sched = make_scheduler(AlgorithmId::paper_recommended());
-    let r = run_simulation(
+    let r = run_multi_drive(
         &placed.catalog,
         &timing,
         sched.as_mut(),
         &mut factory,
         &SimConfig::quick(),
+        1,
     )
     .expect("zipf run is valid");
     assert!(r.completed > 100);
@@ -88,12 +89,13 @@ fn trace_replay_is_bit_identical() {
             0,
         );
         let mut sched = make_scheduler(AlgorithmId::Dynamic(TapeSelectPolicy::MaxRequests));
-        run_simulation(
+        run_multi_drive(
             &placed.catalog,
             &timing,
             sched.as_mut(),
             &mut factory,
             &SimConfig::quick(),
+            1,
         )
         .expect("trace replay is valid")
     };

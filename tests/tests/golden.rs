@@ -19,8 +19,8 @@ use tapesim::model::{BlockSize, FaultConfig, JukeboxGeometry, Micros, SimTime, T
 use tapesim::sched::{make_scheduler, AlgorithmId, EnvelopePolicy};
 use tapesim::sim::trace::jsonl::{self, Comparison};
 use tapesim::sim::{
-    check_trace, run_simulation_traced, AdmissionPolicy, JukeboxService, MemorySink, ServiceConfig,
-    SimConfig, SimError, SteppedMultiDrive, TicketState, TraceRecord,
+    check_trace, run_multi_drive_traced, AdmissionPolicy, JukeboxService, MemorySink,
+    ServiceConfig, SimConfig, SimError, SteppedMultiDrive, TicketState, TraceRecord,
 };
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
 
@@ -54,12 +54,13 @@ fn run_scenario(
     let mut factory = RequestFactory::new(sampler, ArrivalProcess::Closed { queue_length }, seed);
     let mut sched = make_scheduler(algorithm);
     let mut sink = MemorySink::new();
-    run_simulation_traced(
+    run_multi_drive_traced(
         &placed.catalog,
         &timing,
         sched.as_mut(),
         &mut factory,
         &cfg,
+        1,
         &FaultConfig::NONE,
         0,
         &mut sink,

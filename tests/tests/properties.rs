@@ -306,12 +306,13 @@ mod extension_properties {
                 warmup: tapesim::model::Micros::from_secs(2_000),
                 max_pending: 5_000,
             };
-            let r = tapesim::sim::run_simulation(
+            let r = tapesim::sim::run_multi_drive(
                 &placed.catalog,
                 &timing,
                 sched.as_mut(),
                 &mut factory,
                 &cfg,
+                1,
             )
             .expect("property run is valid");
             prop_assert!(r.completed >= r.physical_reads,

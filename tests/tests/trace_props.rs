@@ -9,8 +9,8 @@ use tapesim::layout::{build_placement, PlacementConfig, PlacementScheme};
 use tapesim::model::{BlockSize, FaultConfig, JukeboxGeometry, Micros, TimingModel};
 use tapesim::sched::{make_scheduler, AlgorithmId};
 use tapesim::sim::{
-    check_trace, run_multi_drive_traced, run_simulation_traced, run_with_writeback_traced,
-    FlushPolicy, MemorySink, SimConfig, TraceRecord, WriteBackConfig,
+    check_trace, run_multi_drive_traced, run_with_writeback_traced, FlushPolicy, MemorySink,
+    SimConfig, TraceRecord, WriteBackConfig,
 };
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
 
@@ -60,32 +60,18 @@ fn run_traced(
     let mut factory = RequestFactory::new(sampler, process, seed);
     let mut sched = make_scheduler(algorithm);
     let mut sink = MemorySink::new();
-    if drives <= 1 {
-        run_simulation_traced(
-            &placed.catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &cfg,
-            faults,
-            fault_seed,
-            &mut sink,
-        )
-        .unwrap();
-    } else {
-        run_multi_drive_traced(
-            &placed.catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &cfg,
-            drives,
-            faults,
-            fault_seed,
-            &mut sink,
-        )
-        .unwrap();
-    }
+    run_multi_drive_traced(
+        &placed.catalog,
+        &timing,
+        sched.as_mut(),
+        &mut factory,
+        &cfg,
+        drives,
+        faults,
+        fault_seed,
+        &mut sink,
+    )
+    .unwrap();
     sink.into_events()
 }
 
