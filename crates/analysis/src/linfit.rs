@@ -1,7 +1,10 @@
 //! Least-squares line fitting, used to recover the Figure 1 locate-model
 //! coefficients from (synthetic) measurements the way the paper recovered
 //! them from 2130 hardware measurements.
-#![allow(clippy::cast_precision_loss)] // sample counts stay far below 2^53
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "sample counts stay far below 2^53"
+)]
 
 /// A fitted line `y = intercept + slope * x` with its coefficient of
 /// determination.

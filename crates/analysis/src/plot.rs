@@ -4,8 +4,14 @@
 //! algorithm / placement / skew) in the throughput-delay plane. This
 //! module renders such families as fixed-size character grids, each
 //! series drawn with its own glyph.
-#![allow(clippy::cast_possible_truncation)] // axis binning rounds within terminal-width bounds
-#![allow(clippy::cast_precision_loss)] // point counts stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "axis binning rounds within terminal-width bounds"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "point counts stay far below 2^53"
+)]
 
 use std::fmt::Write as _;
 

@@ -1,6 +1,12 @@
 //! Summary statistics for experiment results.
-#![allow(clippy::cast_possible_truncation)] // quantile ranks round within sample bounds
-#![allow(clippy::cast_precision_loss)] // sample counts stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "quantile ranks round within sample bounds"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "sample counts stay far below 2^53"
+)]
 
 /// Mean of a sample. Returns 0 for an empty sample.
 pub fn mean(xs: &[f64]) -> f64 {

@@ -1,6 +1,10 @@
 //! Drive-sensitivity ablation (Section 2.1's claim): a much faster
 //! hypothetical drive improves every absolute number but does not change
 //! the paper's conclusions about scheduling, placement, or replication.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim_bench::HarnessOpts;

@@ -6,6 +6,10 @@
 //! `run_p`. Sequential runs turn many locates into cheap streaming reads,
 //! so throughput rises with clustering — and the algorithm ranking of
 //! Figure 4 must be preserved.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};

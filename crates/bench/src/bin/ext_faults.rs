@@ -9,6 +9,10 @@
 //! *availability* — hot requests fail over to surviving replicas, so
 //! permanently failed requests drop as NR grows, while the cold data
 //! (single-copy under every NR) bounds how far availability can go.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::model::Micros;
 use tapesim::prelude::*;

@@ -1,6 +1,10 @@
 //! Extension experiment: multi-drive jukeboxes (the paper's stated
 //! future work). Sweeps the number of drives sharing one robot arm and
 //! reports throughput/delay scaling, with and without replication.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim::sim::run_multi_drive;

@@ -4,6 +4,10 @@
 //! tape during idle time, optionally piggybacked on read sweeps. The
 //! experiment quantifies the two costs the paper waves at: how much read
 //! latency the destaging steals, and how long deltas sit on disk.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim::sim::{

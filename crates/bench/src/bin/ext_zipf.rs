@@ -7,6 +7,10 @@
 //! the paper's `(PH-10, RH)` settings — then the paper's two headline
 //! recipes (scheduling and replication) are re-evaluated under the
 //! smoother skew.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim::workload::ZipfSampler;

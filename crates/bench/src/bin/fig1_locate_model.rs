@@ -8,6 +8,10 @@
 use tapesim::prelude::*;
 use tapesim_bench::{write_csv, HarnessOpts};
 
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "locate distances stay far below 2^53 MB"
+)]
 fn main() {
     let opts = HarnessOpts::from_args();
     let data = tapesim::fig1_locate_model(2130, 0x51);

@@ -3,6 +3,10 @@
 
 use tapesim_bench::{emit_figure, HarnessOpts};
 
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "switch counts stay far below 2^53"
+)]
 fn main() {
     let opts = HarnessOpts::from_args();
     let series = tapesim::fig6_replicas(opts.scale, opts.open);

@@ -2,6 +2,10 @@
 //! jukebox, compare (a) packing the data onto as few tapes as possible
 //! and leaving the spare empty against (b) spreading the data and filling
 //! the spare slots at the tape ends with replicas of hot data.
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim_bench::{write_csv, HarnessOpts};

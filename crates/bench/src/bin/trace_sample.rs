@@ -10,6 +10,10 @@
 //! ```sh
 //! cargo run --release --bin trace_sample -- --scale quick --trace sample.jsonl
 //! ```
+#![expect(
+    clippy::expect_used,
+    reason = "a binary stops with a message on an invalid static configuration"
+)]
 
 use tapesim::model::FaultConfig;
 use tapesim::prelude::*;

@@ -33,6 +33,11 @@
 //!   ordering, request conservation.
 //! - **Bit-identical replay** — same seed, same bytes, for both the
 //!   service trace and the resumed checkpoint suffix.
+#![expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_precision_loss,
+    reason = "chaos draws come from `ChaosRng::below` over small ranges"
+)]
 
 use std::path::{Path, PathBuf};
 

@@ -43,6 +43,10 @@ impl FleetCase {
     }
 
     /// The fleet topology for this case.
+    #[expect(
+        clippy::expect_used,
+        reason = "sweep cases are static and non-degenerate"
+    )]
     pub fn topology(&self) -> Topology {
         Topology::uniform(
             self.libraries,
@@ -52,7 +56,6 @@ impl FleetCase {
             RobotModel::exb210(),
             InterLibraryModel::DEFAULT,
         )
-        // simlint: allow(panic, sweep cases are static and non-degenerate)
         .expect("sweep cases are non-degenerate")
     }
 
@@ -119,8 +122,11 @@ fn run_point(case: FleetCase, nr: u32, scope: ReplicaScope, scale: Scale) -> Met
         scheme: PlacementScheme::Replication { nr },
         sp: 0.0,
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "NR <= 3 on 10-shelf cabinets always fits"
+    )]
     let placed = build_fleet_placement(geometry, BlockSize::PAPER_DEFAULT, cfg, &topology, scope)
-        // simlint: allow(panic, NR <= 3 on 10-shelf cabinets always fits)
         .expect("sweep placements are feasible");
     let timing = TimingModel::paper_default();
     let sim = scale.sim_config();
@@ -135,6 +141,10 @@ fn run_point(case: FleetCase, nr: u32, scope: ReplicaScope, scale: Scale) -> Met
             seed,
         );
         let mut sched = make_scheduler(AlgorithmId::paper_recommended());
+        #[expect(
+            clippy::expect_used,
+            reason = "the static sweep config is validated by topology()"
+        )]
         reports.push(
             run_fleet(
                 &placed.catalog,
@@ -146,7 +156,6 @@ fn run_point(case: FleetCase, nr: u32, scope: ReplicaScope, scale: Scale) -> Met
                 &FaultConfig::NONE,
                 0,
             )
-            // simlint: allow(panic, static sweep config validated by topology())
             .expect("fleet config is valid"),
         );
     }

@@ -60,6 +60,7 @@
 
 use std::time::Instant;
 
+use tapesim::analysis::json::{get, get_f64, get_str, get_u64, JsonValue};
 use tapesim::layout::BlockId;
 use tapesim::model::FaultConfig;
 use tapesim::model::{JukeboxGeometry, Micros, SimTime};
@@ -276,8 +277,10 @@ fn run_fleet_scenario(
             let x = next_u64();
             let q = (x >> 8) % span;
             let r = x % 8;
-            // Block ids stay far below 2^32, so the cast is lossless.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "block ids stay far below 2^32, so the cast is lossless"
+            )]
             let block = BlockId(((base + stride * q + r) % blocks) as u32);
             match engine.submit_at(block, t0 + Micros::from_micros(i + 1)) {
                 Ok(_) | Err(SimError::Overloaded) => {}
@@ -346,8 +349,10 @@ fn run_service_scenario(
     let mut at_s = 0u64;
     while at_s < horizon_s * 9 / 10 {
         for j in 0..8u64 {
-            // Counters stay far below 2^32, so the cast is lossless.
-            #[allow(clippy::cast_possible_truncation)]
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "counters stay far below 2^32, so the cast is lossless"
+            )]
             let block = BlockId((next_u64() % u64::from(blocks)) as u32);
             let at = SimTime::ZERO + Micros::from_secs(at_s) + Micros::from_micros(j);
             match svc.submit(block, at) {
@@ -481,9 +486,13 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
 /// untimed repetitions, then `reps` timed ones. Returns an error string
 /// (suitable for a CLI) on infeasible configurations, simulation
 /// failures, or a determinism violation between repetitions.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness reads host time and host parallelism by design; no simulated quantity depends on them"
+)]
 pub fn run_matrix(scale: Scale, warmup_reps: u64, reps: u64) -> Result<PerfReport, String> {
     let sim = scale.sim_config();
-    // simlint: allow(panic, default_seeds(1) returns exactly one seed)
+    // `default_seeds(1)` returns exactly one seed.
     let seed = tapesim::sim::default_seeds(1)[0];
     let reps = reps.max(1);
     let mut scenarios = Vec::new();
@@ -498,11 +507,9 @@ pub fn run_matrix(scale: Scale, warmup_reps: u64, reps: u64) -> Result<PerfRepor
         let mut times_ms: Vec<f64> = Vec::new();
         let mut counters: Option<(u64, u64)> = None;
         for _ in 0..reps {
-            // simlint: allow(wall-clock, the perf harness measures real elapsed time by design; no simulated quantity depends on it)
             let t0 = Instant::now();
             let c = run_scenario(&spec, &placed, &sim, seed)
                 .map_err(|e| format!("{}: {e}", spec.name))?;
-            // simlint: allow(unit-const, wall-clock seconds to report milliseconds; not a simulated quantity)
             times_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             match counters {
                 None => counters = Some(c),
@@ -525,7 +532,6 @@ pub fn run_matrix(scale: Scale, warmup_reps: u64, reps: u64) -> Result<PerfRepor
             median_ms,
             min_ms,
             sim_seconds,
-            // simlint: allow(unit-const, report milliseconds back to wall-clock seconds; not a simulated quantity)
             sim_secs_per_wall_sec: sim_seconds / (median_ms / 1e3).max(1e-9),
             completed,
             physical_reads,
@@ -536,7 +542,6 @@ pub fn run_matrix(scale: Scale, warmup_reps: u64, reps: u64) -> Result<PerfRepor
         scale: scale_name(scale).to_owned(),
         warmup_reps,
         reps,
-        // simlint: allow(par-contract, host metadata recorded in the report header; does not affect measured results)
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
         scenarios,
     })
@@ -741,249 +746,6 @@ pub fn compare_to_baseline(
         }
     }
     Ok(regressions)
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON parser (no dependencies)
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Object keys keep their source order.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Object(Vec<(String, JsonValue)>),
-    Array(Vec<JsonValue>),
-    String(String),
-    Number(f64),
-    Bool(bool),
-    Null,
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, JsonValue)], String> {
-        match self {
-            JsonValue::Object(o) => Ok(o),
-            _ => Err(format!("{what}: expected an object")),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[JsonValue], String> {
-        match self {
-            JsonValue::Array(a) => Ok(a),
-            _ => Err(format!("{what}: expected an array")),
-        }
-    }
-}
-
-fn get<'a>(obj: &'a [(String, JsonValue)], key: &str) -> Result<&'a JsonValue, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key '{key}'"))
-}
-
-fn get_f64(obj: &[(String, JsonValue)], key: &str) -> Result<f64, String> {
-    match get(obj, key)? {
-        JsonValue::Number(n) => Ok(*n),
-        _ => Err(format!("key '{key}': expected a number")),
-    }
-}
-
-// Counters are far below 2^53, so the f64 round-trip is exact.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-fn get_u64(obj: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
-    let n = get_f64(obj, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("key '{key}': expected a non-negative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn get_str<'a>(obj: &'a [(String, JsonValue)], key: &str) -> Result<&'a str, String> {
-    match get(obj, key)? {
-        JsonValue::String(s) => Ok(s),
-        _ => Err(format!("key '{key}': expected a string")),
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect_byte(b'{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            out.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect_byte(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let s = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code = u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so char boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        s.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("invalid number '{s}'"))
-    }
 }
 
 #[cfg(test)]

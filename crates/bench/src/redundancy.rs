@@ -85,12 +85,15 @@ fn run_point(case: SchemeCase, mtbf_s: Option<u64>, scale: Scale) -> MetricsRepo
         scheme: case.scheme,
         sp: 0.0,
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "study placements fit a 10-tape cabinet by construction"
+    )]
     let placed = build_placement(
         JukeboxGeometry::PAPER_DEFAULT,
         BlockSize::PAPER_DEFAULT,
         cfg,
     )
-    // simlint: allow(panic, study placements fit a 10-tape cabinet by construction)
     .expect("study placements are feasible");
     let timing = TimingModel::paper_default();
     let sim = scale.sim_config();
@@ -127,12 +130,19 @@ fn run_point(case: SchemeCase, mtbf_s: Option<u64>, scale: Scale) -> MetricsRepo
                 seed,
             )
         };
-        // simlint: allow(panic, static study config validated by build_placement)
+        #[expect(
+            clippy::expect_used,
+            reason = "the static study config is validated by build_placement"
+        )]
         reports.push(report.expect("study config is valid"));
     }
     MetricsReport::mean_of(&reports)
 }
 
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "read counts stay far below 2^53"
+)]
 fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0

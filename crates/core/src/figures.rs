@@ -2,7 +2,14 @@
 //! paper's evaluation (Section 4), each returning the structured series
 //! the figure plots. The `tapesim-bench` binaries print these as CSV,
 //! aligned tables, and ASCII plots.
-#![allow(clippy::cast_precision_loss)] // sweep grid parameters are small integers
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "sweep grid parameters are small integers"
+)]
+#![expect(
+    clippy::expect_used,
+    reason = "figure configurations are static, and the test suite runs every figure"
+)]
 
 use tapesim_analysis::{piecewise_fit, LineFit};
 use tapesim_layout::{
@@ -88,13 +95,12 @@ pub fn sweep_intensity(
 ) -> SweepSeries {
     let placed = base
         .build_catalog()
-        // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
         .expect("figure configurations are feasible by construction");
     // The points are independent simulations; fan them over the cores.
     let points = par_map_indexed(grid.len(), |i| {
         let (param, cfg) = grid.apply(base, i);
         let (report, _) = run_with_catalog(&cfg, &placed)
-            // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
+            // Static configuration, exercised by the test suite.
             .expect("figure simulation configs are valid");
         SweepPoint { param, report }
     });
@@ -139,7 +145,6 @@ fn sweep_grid(bases: Vec<(String, ExperimentConfig)>, grid: &IntensityGrid) -> V
         bases[uniq[k]]
             .1
             .build_catalog()
-            // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
             .expect("figure configurations are feasible by construction")
     });
     let pts = grid.len();
@@ -147,7 +152,6 @@ fn sweep_grid(bases: Vec<(String, ExperimentConfig)>, grid: &IntensityGrid) -> V
         let (s, i) = (j / pts, j % pts);
         let (param, cfg) = grid.apply(&bases[s].1, i);
         let (report, _) = run_with_catalog(&cfg, &placed[catalog_of[s]])
-            // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
             .expect("figure simulation configs are valid");
         SweepPoint { param, report }
     });
@@ -232,7 +236,7 @@ pub fn fig3_transfer_size(scale: Scale, open: bool) -> Vec<SweepSeries> {
         })
         .collect();
     let placed: Vec<PlacedCatalog> = par_map_indexed(bases.len(), |b| {
-        // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
+        // Static configuration, exercised by the test suite.
         bases[b].build_catalog().expect("feasible")
     });
     let pts = grid.len();
@@ -240,7 +244,7 @@ pub fn fig3_transfer_size(scale: Scale, open: bool) -> Vec<SweepSeries> {
         let (b, i) = (j / pts, j % pts);
         let (_, cfg) = grid.apply(&bases[b], i);
         let (report, _) = run_with_catalog(&cfg, &placed[b])
-            // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
+            // Static configuration, exercised by the test suite.
             .expect("figure simulation configs are valid");
         report
     });
@@ -494,10 +498,10 @@ pub fn fig10b_cost_performance(scale: Scale, base_queue: u32) -> Vec<CostPerfSer
         }
     };
     let placed: Vec<PlacedCatalog> = par_map_indexed(nrs.len(), |k| {
-        // simlint: allow(panic, rhs is a non-empty literal array)
+        // `rhs` is a non-empty literal array.
         cfg_for(rhs[0], nrs[k])
             .build_catalog()
-            // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
+            // Static configuration, exercised by the test suite.
             .expect("feasible")
     });
     let measured: Vec<CostPerfPoint> = par_map_indexed(jobs.len(), |j| {
@@ -506,7 +510,6 @@ pub fn fig10b_cost_performance(scale: Scale, base_queue: u32) -> Vec<CostPerfSer
         let queue = scaled_queue_length(base_queue, e);
         let cfg = cfg_for(rh, nr);
         let (report, _) = run_with_catalog(&cfg, &placed[j % nrs.len()])
-            // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
             .expect("figure simulation configs are valid");
         CostPerfPoint {
             nr,
@@ -520,9 +523,8 @@ pub fn fig10b_cost_performance(scale: Scale, base_queue: u32) -> Vec<CostPerfSer
         .chunks(nrs.len())
         .zip(rhs)
         .map(|(chunk, rh)| {
-            // simlint: allow(panic, chunks(nrs.len()) over rhs.len()*nrs.len() jobs yields non-empty chunks)
+            // `chunks(nrs.len())` over `rhs.len() * nrs.len()` jobs yields non-empty chunks.
             debug_assert_eq!(chunk[0].nr, 0, "NR grid starts at 0");
-            // simlint: allow(panic, chunks(nrs.len()) over rhs.len()*nrs.len() jobs yields non-empty chunks)
             let base = chunk[0].throughput;
             CostPerfSeries {
                 rh_percent: rh,
@@ -545,7 +547,6 @@ pub fn baseline_report(scale: Scale) -> MetricsReport {
         ..ExperimentConfig::paper_baseline()
     };
     crate::experiment::run_experiment(&cfg)
-        // simlint: allow(panic, figure configs are static and exercised by the tier-1 tests)
         .expect("baseline feasible")
         .report
 }

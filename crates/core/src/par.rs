@@ -6,6 +6,11 @@
 //! its index, so the output is identical whether the map runs on one
 //! thread or many — parallelism here only changes wall time, never
 //! values (the same contract `run_seeds` follows for per-seed threads).
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the figure-sweep fork-join owns the threads; results come back in index order"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -21,6 +26,10 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// A panicking job propagates out of the enclosing scope and aborts the
 /// whole map, matching the behavior of a sequential loop.
+#[expect(
+    clippy::expect_used,
+    reason = "the scope joins every worker, so each claimed index was filled or the scope already panicked"
+)]
 pub fn par_map_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -51,7 +60,6 @@ where
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        // simlint: allow(panic, the scope above joins every worker, so each claimed index was filled or the scope already panicked)
         .map(|r| r.expect("every index claimed and completed"))
         .collect()
 }

@@ -5,8 +5,14 @@
 //! mapping — block to replica addresses, and tape slot to block — and
 //! enforces the one-copy-per-tape and one-block-per-slot invariants at
 //! construction time.
-#![allow(clippy::cast_possible_truncation)] // slot/copy counts are bounded by jukebox capacity (u32)
-#![allow(clippy::cast_precision_loss)] // copy counts stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "slot/copy counts are bounded by jukebox capacity (u32)"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "copy counts stay far below 2^53"
+)]
 
 use tapesim_model::{BlockSize, JukeboxGeometry, PhysicalAddr, SlotIndex, TapeId};
 

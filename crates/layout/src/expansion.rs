@@ -2,7 +2,10 @@
 //!
 //! Storing `NR` replicas of the `PH`% of data that are hot grows the
 //! required storage by the expansion factor `E = 1 + NR * PH / 100`.
-#![allow(clippy::cast_possible_truncation)] // replica counts are small integers rounded from bounded ratios
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "replica counts are small integers rounded from bounded ratios"
+)]
 
 use crate::placement::PlacementScheme;
 

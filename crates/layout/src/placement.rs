@@ -12,8 +12,14 @@
 //! Replication stores `NR` extra copies of every hot block, distributed
 //! round-robin across the other tapes, at most one copy per tape.
 //! Cold data fills the remaining slots.
-#![allow(clippy::cast_possible_truncation)] // slot and tape counts are bounded by jukebox geometry
-#![allow(clippy::cast_precision_loss)] // capacity totals stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "slot and tape counts are bounded by jukebox geometry"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "capacity totals stay far below 2^53"
+)]
 
 use tapesim_model::{BlockSize, JukeboxGeometry, PhysicalAddr, SlotIndex, TapeId, Topology};
 
@@ -520,7 +526,10 @@ fn try_build(
     Ok((catalog, hot_tapes))
 }
 
-#[allow(clippy::too_many_arguments)] // placement knobs are irreducible here
+#[expect(
+    clippy::too_many_arguments,
+    reason = "placement knobs are irreducible here"
+)]
 fn try_build_fleet(
     geometry: JukeboxGeometry,
     block: BlockSize,
@@ -683,7 +692,10 @@ fn replica_ring(
 /// `k + m` cells on that many distinct tapes, chosen by layout and scope;
 /// cold logical block `c` stores its `k` data cells contiguously on one
 /// tape, so a cold read streams exactly like a whole-block read.
-#[allow(clippy::too_many_arguments)] // placement knobs are irreducible here
+#[expect(
+    clippy::too_many_arguments,
+    reason = "placement knobs are irreducible here"
+)]
 fn try_build_ec(
     geometry: JukeboxGeometry,
     block: BlockSize,

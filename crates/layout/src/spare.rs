@@ -11,8 +11,14 @@
 //!   recommendation: keep the hottest data on its own tape, fill the
 //!   other tapes only part way with base data, and append replicas of hot
 //!   blocks to the ends of those tapes. Performance improves "for free".
-#![allow(clippy::cast_possible_truncation)] // slot and tape counts are bounded by jukebox geometry
-#![allow(clippy::cast_precision_loss)] // capacity totals stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "slot and tape counts are bounded by jukebox geometry"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "capacity totals stay far below 2^53"
+)]
 
 use tapesim_model::{BlockSize, JukeboxGeometry, PhysicalAddr, SlotIndex, TapeId};
 

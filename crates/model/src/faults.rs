@@ -27,8 +27,14 @@
 //! module.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
-#![allow(clippy::cast_precision_loss)] // SplitMix64 bit tricks use the top 53 bits, exact by construction
-#![allow(clippy::cast_possible_truncation)] // tape indices fit u16 by geometry construction
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "SplitMix64 bit tricks use the top 53 bits, exact by construction"
+)]
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "tape indices fit u16 by geometry construction"
+)]
 
 use std::collections::{BTreeMap, BTreeSet};
 

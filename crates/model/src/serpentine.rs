@@ -57,7 +57,10 @@ impl SerpentineGeometry {
     }
 
     /// Number of whole block slots on the tape.
-    #[allow(clippy::cast_possible_truncation)] // capacity / block size fits u32 slots
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "capacity / block size fits u32 slots"
+    )]
     pub fn slots(&self, block: BlockSize) -> u32 {
         (self.capacity_mb() / block.mb_u64()) as u32
     }
@@ -65,7 +68,10 @@ impl SerpentineGeometry {
     /// Physical position of a logical slot: `(track, longitudinal MB at
     /// the slot's start, reads_forward)`. Even tracks read away from the
     /// load point, odd tracks read back toward it.
-    #[allow(clippy::cast_possible_truncation)] // track count is asserted below capacity
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "track count is asserted below capacity"
+    )]
     pub fn position_of(&self, slot: SlotIndex, block: BlockSize) -> SerpentinePos {
         let slot_mb = block.mb_u64();
         let offset_mb = slot.0 as u64 * slot_mb;
@@ -209,12 +215,15 @@ pub fn nearest_neighbor_order(
     let mut out = Vec::with_capacity(slots.len());
     let mut head: Option<SlotIndex> = None;
     while !slots.is_empty() {
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop condition ensures slots is non-empty"
+        )]
         let (i, _) = slots
             .iter()
             .enumerate()
             .map(|(i, &s)| (i, model.locate(head, s, block)))
             .min_by_key(|&(i, c)| (c, i))
-            // simlint: allow(panic, the while-let guard ensures slots is non-empty)
             .expect("non-empty");
         let s = slots.swap_remove(i);
         out.push(s);

@@ -9,7 +9,10 @@
 //! variance"). Downstream code — the Figure 1 scatter/fit and the
 //! Section 2.1 random-walk validation — exercises the same code paths it
 //! would with real hardware data.
-#![allow(clippy::cast_possible_truncation)] // slot offsets are clamped to the tape before narrowing
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "slot offsets are clamped to the tape before narrowing"
+)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,7 +127,10 @@ pub fn synthesize_locates(
             continue;
         }
         let (t, dir) = drive.locate(head, target, block);
-        // simlint: allow(panic, target != head is checked above so the locate has a direction)
+        #[expect(
+            clippy::expect_used,
+            reason = "target != head is checked above, so the locate has a direction"
+        )]
         let dir = dir.expect("nonzero distance implies a direction");
         let predicted_s = t.as_secs_f64();
         let measured_s = noise.perturb(predicted_s, &mut rng);

@@ -41,7 +41,10 @@ impl Micros {
     /// timing model can only produce non-negative times, but a defensive
     /// clamp keeps arithmetic total).
     #[inline]
-    #[allow(clippy::cast_possible_truncation)] // rounded non-negative micros fit u64
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rounded non-negative micros fit u64"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         if s <= 0.0 {
             return Micros(0);
@@ -57,7 +60,10 @@ impl Micros {
 
     /// The duration as floating-point seconds.
     #[inline]
-    #[allow(clippy::cast_precision_loss)] // micros below 2^53 for any sim horizon
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "micros below 2^53 for any sim horizon"
+    )]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -87,7 +93,7 @@ impl Micros {
     /// operation order (`bytes as f64`, then one division) is part of the
     /// deterministic-replay contract — do not reassociate it.
     #[inline]
-    #[allow(clippy::cast_precision_loss)] // exact below 2^53 bytes
+    #[expect(clippy::cast_precision_loss, reason = "exact below 2^53 bytes")]
     pub fn bytes_per_sec(self, bytes: u64) -> f64 {
         bytes as f64 / self.as_secs_f64()
     }
@@ -95,7 +101,10 @@ impl Micros {
     /// This duration as a fraction of `total` (e.g. a phase's share of a
     /// run). The caller is responsible for `total` being non-zero.
     #[inline]
-    #[allow(clippy::cast_precision_loss)] // micros below 2^53 for any sim horizon
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "micros below 2^53 for any sim horizon"
+    )]
     pub fn frac_of(self, total: Micros) -> f64 {
         self.0 as f64 / total.0 as f64
     }
@@ -124,12 +133,15 @@ impl AddAssign for Micros {
 
 impl Sub for Micros {
     type Output = Micros;
+    #[expect(
+        clippy::expect_used,
+        reason = "time never runs backwards in the simulator; use saturating_sub where underflow is a legal outcome"
+    )]
     #[inline]
     fn sub(self, rhs: Micros) -> Micros {
         Micros(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(panic, time never runs backwards in the simulator; use saturating_sub where underflow is a legal outcome)
                 .expect("Micros subtraction underflow"),
         )
     }
@@ -199,7 +211,10 @@ impl SimTime {
 
     /// The instant as floating-point seconds since simulation start.
     #[inline]
-    #[allow(clippy::cast_precision_loss)] // micros below 2^53 for any sim horizon
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "micros below 2^53 for any sim horizon"
+    )]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }

@@ -97,7 +97,7 @@ impl InterLibraryModel {
     }
 }
 
-/// Errors detected by [`Topology::validate`].
+/// Errors detected by [`Topology::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// The fleet has no libraries.
@@ -217,6 +217,10 @@ impl Topology {
     /// # Panics
     /// Panics if `drives` or `tapes` is zero (mirrors
     /// [`JukeboxGeometry::new`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "single-library invariants are asserted above, so construction cannot fail"
+    )]
     pub fn single(drives: u16, tapes: u16, robot: RobotModel) -> Self {
         assert!(drives > 0, "fleet must have at least one drive");
         assert!(tapes > 0, "library must hold at least one tape");
@@ -229,7 +233,6 @@ impl Topology {
             }],
             InterLibraryModel::NONE,
         )
-        // simlint: allow(panic, single-library invariants asserted above; construction cannot fail)
         .expect("single-library topology is always valid")
     }
 
@@ -264,9 +267,11 @@ impl Topology {
     }
 
     /// Number of libraries in the fleet.
-    #[allow(clippy::cast_possible_truncation)] // bounded by the u16 tape index space
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded by the u16 tape index space"
+    )]
     pub fn library_count(&self) -> u16 {
-        // simlint: allow(unit-cast, library count bounded by the u16 tape index space)
         self.libraries.len() as u16
     }
 
@@ -318,12 +323,14 @@ impl Topology {
         Self::library_of(&self.tape_base, tape.0)
     }
 
-    #[allow(clippy::cast_possible_truncation)] // bounded by the u16 base table length
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bounded by the u16 base table length"
+    )]
     fn library_of(bases: &[u16], idx: u16) -> u16 {
         // partition_point: first base strictly greater than idx, minus one.
         let pos = bases.partition_point(|&b| b <= idx);
         debug_assert!(pos > 0, "index below first base");
-        // simlint: allow(unit-cast, position within the u16-bounded base table)
         (pos - 1) as u16
     }
 

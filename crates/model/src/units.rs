@@ -141,7 +141,10 @@ impl BlockSize {
 /// seconds. Distances are bounded by tape capacity (a few thousand MB),
 /// far below `f64`'s 2^53 integer range, so the conversion is exact.
 #[inline]
-#[allow(clippy::cast_precision_loss)] // exact for any physical tape length
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "exact for any physical tape length"
+)]
 pub fn mb_f64(mb: u64) -> f64 {
     mb as f64
 }
@@ -149,7 +152,7 @@ pub fn mb_f64(mb: u64) -> f64 {
 /// A raw byte count in kilobytes (1 KB = 2^10 bytes), for throughput
 /// reporting. The sanctioned `u64 -> f64` crossing for data volumes.
 #[inline]
-#[allow(clippy::cast_precision_loss)] // exact below 8 PB delivered
+#[expect(clippy::cast_precision_loss, reason = "exact below 8 PB delivered")]
 pub fn bytes_to_kb_f64(bytes: u64) -> f64 {
     bytes as f64 / 1024.0
 }
@@ -202,7 +205,10 @@ impl JukeboxGeometry {
 
     /// Number of whole block slots per tape for a given block size.
     #[inline]
-    #[allow(clippy::cast_possible_truncation)] // capacity / block size fits u32 slots
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "capacity / block size fits u32 slots"
+    )]
     pub fn slots_per_tape(&self, block: BlockSize) -> u32 {
         (self.tape_capacity_mb / block.mb() as u64) as u32
     }

@@ -6,7 +6,10 @@
 //! percentage error of the total predicted times. This module reproduces
 //! that experiment against the synthetic measurement source of
 //! [`crate::synth`].
-#![allow(clippy::cast_precision_loss)] // sample counts stay far below 2^53
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "sample counts stay far below 2^53"
+)]
 
 use crate::drive::DriveModel;
 use crate::synth::{synthesize_random_walk, NoiseModel};

@@ -9,7 +9,6 @@
 //! A retrieval schedule (the *service list*) is executed in a single sweep
 //! over the tape: a forward phase (forward locates only) followed by a
 //! reverse phase (reverse locates only).
-#![allow(clippy::cast_possible_truncation)] // request ids are minted from a u32-bounded counter
 
 use std::collections::VecDeque;
 
@@ -104,12 +103,12 @@ impl JukeboxView<'_> {
     #[inline]
     pub fn debug_assert_sorted(&self) {
         debug_assert!(
-            // simlint: allow(panic, windows(2) yields exactly-2-element slices)
+            // `windows(2)` yields two-element slices.
             self.unavailable.windows(2).all(|w| w[0] < w[1]),
             "JukeboxView::unavailable must be sorted ascending without duplicates"
         );
         debug_assert!(
-            // simlint: allow(panic, windows(2) yields exactly-2-element slices)
+            // `windows(2)` yields two-element slices.
             self.offline.windows(2).all(|w| w[0] < w[1]),
             "JukeboxView::offline must be sorted ascending without duplicates"
         );
@@ -217,7 +216,7 @@ impl ServiceList {
     /// Panics in debug builds if the stops are not strictly ascending.
     pub fn from_forward(stops: Vec<ScheduledRead>) -> Self {
         debug_assert!(
-            // simlint: allow(panic, windows(2) yields exactly two elements)
+            // `windows(2)` yields two-element slices.
             stops.windows(2).all(|w| w[0].slot < w[1].slot),
             "forward stops must be strictly ascending"
         );
@@ -462,6 +461,10 @@ mod tests {
     use tapesim_layout::BlockId;
     use tapesim_workload::RequestId;
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "test request ids stay far below 2^32"
+    )]
     fn req(id: u64) -> Request {
         Request {
             id: RequestId(id),

@@ -193,9 +193,12 @@ pub fn effective_bandwidth(view: &JukeboxView<'_>, candidate: &TapeCandidate) ->
 pub fn forward_list_for(catalog: &Catalog, tape: TapeId, requests: Vec<Request>) -> ServiceList {
     let mut list = ServiceList::new();
     for r in requests {
+        #[expect(
+            clippy::expect_used,
+            reason = "scheduler contract: the caller routed this request to a tape holding a copy"
+        )]
         let addr = catalog
             .copy_on_tape(r.block, tape)
-            // simlint: allow(panic, scheduler contract; the caller routed this request to a tape holding a copy)
             .expect("request scheduled on a tape without a copy");
         list.insert_forward(addr.slot, r);
     }
@@ -207,6 +210,10 @@ pub fn forward_list_for(catalog: &Catalog, tape: TapeId, requests: Vec<Request>)
 /// (ascending), blocks behind the head form the reverse phase (descending,
 /// read on the way back). On a freshly mounted tape (`head` = 0) the sweep
 /// is purely forward.
+#[expect(
+    clippy::expect_used,
+    reason = "the grouped phases are strictly ordered by construction"
+)]
 pub fn split_sweep(
     catalog: &Catalog,
     tape: TapeId,
@@ -221,9 +228,12 @@ pub fn split_sweep(
     let mut forward: Vec<(SlotIndex, Request)> = Vec::new();
     let mut reverse: Vec<(SlotIndex, Request)> = Vec::new();
     for r in requests {
+        #[expect(
+            clippy::expect_used,
+            reason = "scheduler contract: the caller routed this request to a tape holding a copy"
+        )]
         let addr = catalog
             .copy_on_tape(r.block, tape)
-            // simlint: allow(panic, scheduler contract; the caller routed this request to a tape holding a copy)
             .expect("request scheduled on a tape without a copy");
         if addr.slot >= head {
             forward.push((addr.slot, r));
@@ -247,7 +257,6 @@ pub fn split_sweep(
         out
     };
     ServiceList::from_parts(group(forward), group(reverse))
-        // simlint: allow(panic, the grouped phases are strictly ordered by construction)
         .expect("grouped sweep phases are strictly ordered")
 }
 

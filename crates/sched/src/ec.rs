@@ -57,9 +57,12 @@ pub fn choose_shards(
     mounted: &[TapeId],
     lost: &[TapeId],
 ) -> Vec<u32> {
+    #[expect(
+        clippy::expect_used,
+        reason = "caller contract: erasure admission only runs on striped catalogs"
+    )]
     let stripe = catalog
         .stripe()
-        // simlint: allow(panic, caller contract; erasure admission only runs on striped catalogs)
         .expect("choose_shards requires an erasure-striped catalog");
     let (first, count) = stripe.cells_of(logical);
     let k = stripe.data_shards() as usize;
@@ -71,7 +74,7 @@ pub fn choose_shards(
     // cell) — a total order, so the selection is deterministic.
     let mut ranked: Vec<(bool, Micros, u32)> = (first..first + count)
         .map(|cell| {
-            // simlint: allow(panic, striped catalogs store exactly one address per shard cell)
+            // Striped catalogs store exactly one address per shard cell.
             let addr = catalog.replicas(BlockId(cell))[0];
             let dead = lost.binary_search(&addr.tape).is_ok();
             (dead, shard_pick_cost(timing, catalog, mounted, addr), cell)

@@ -22,7 +22,10 @@
 //! Scheduling an optimal extension is NP-hard (Theorem 1); the greedy
 //! extension is within a harmonic factor of optimal (Theorem 2, tested
 //! against a brute-force oracle in `optimal.rs`).
-#![allow(clippy::cast_precision_loss)] // request counts used for ranking stay far below 2^53
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "request counts used for ranking stay far below 2^53"
+)]
 
 use tapesim_model::{Micros, ReadContext, SlotIndex, TapeId};
 use tapesim_workload::Request;
@@ -482,6 +485,10 @@ fn compute_upper_envelope_fresh(view: &JukeboxView<'_>, pending: &[Request]) -> 
     compute_upper_envelope_impl(view, pending, true)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the absorb/extend loop exits only once every request is assigned"
+)]
 fn compute_upper_envelope_impl(
     view: &JukeboxView<'_>,
     pending: &[Request],
@@ -566,7 +573,6 @@ fn compute_upper_envelope_impl(
         env,
         assigned: assigned
             .into_iter()
-            // simlint: allow(panic, the absorb/extend loop above exits only once every request is assigned)
             .map(|a| a.expect("loop exits with all requests assigned"))
             .collect(),
         counts,
@@ -663,7 +669,10 @@ fn extend_once(
         }
     }
 
-    // simlint: allow(panic, the caller loops only while unscheduled requests remain, so some prefix was scored)
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller loops only while unscheduled requests remain, so some prefix was scored"
+    )]
     let best = best.expect("extend_once called with unscheduled requests remaining");
     // Apply the chosen prefix from the winner's cached extension list:
     // every unassigned request with a copy at or before the prefix's
@@ -1159,7 +1168,10 @@ mod tests {
     /// Builds a random catalog on `TAPES` tapes x `SLOTS` slots (1 MB
     /// blocks), each block with the requested number of copies at random
     /// slots. Returns `None` when the placement stream runs dry.
-    #[allow(clippy::cast_possible_truncation)] // at most 8 blocks per generated case
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "at most 8 blocks per generated case"
+    )]
     fn random_catalog(
         placements: &[(u16, u32)],
         copies_per_block: &[usize],
@@ -1308,7 +1320,7 @@ mod tests {
                     // Fault or fail-back: flip one tape's availability (the
                     // mounted tape stays available, as in the simulator).
                     // The view's contract keeps `unavailable` sorted.
-                    2 => {
+                    _ => {
                         let tape =
                             TapeId(u16::try_from(payload % u32::from(TAPES)).expect("reduced mod TAPES"));
                         if mounted != Some(tape) {
@@ -1320,7 +1332,6 @@ mod tests {
                             }
                         }
                     }
-                    _ => unreachable!(),
                 }
                 let v = JukeboxView {
                     unavailable: &unavailable,
@@ -1381,6 +1392,45 @@ mod tests {
     /// 40 requests) do not reach: the paper's full-replication layout,
     /// over 512 pending requests with repeats, the head mid-tape on the
     /// mounted tape and one tape held by another drive.
+    #[test]
+    fn cached_envelope_equals_fresh_after_a_boundary_only_shrink() {
+        // Tape 0 extends over block 2 (slot 18). Tape 2, mounted with the
+        // head at BOT, then extends over block 3 (slot 10), which covers
+        // block 2's copy at slot 8: the shrink moves block 2 to tape 2 and
+        // pulls tape 0's boundary back from 19 to 13. No request with a copy
+        // on tape 0 changed assignment, so only the boundary rule refreshes
+        // tape 0's extension list (block 0 at slot 499) before the last
+        // iteration scores it. Walked from the stale boundary, that list
+        // wins block 0 for tape 0 instead of tape 2.
+        let copies: [&[(u16, u32)]; 5] = [
+            &[(0, 499), (1, 495), (2, 491)],
+            &[(0, 1), (1, 19), (2, 5)],
+            &[(0, 18), (1, 488), (2, 8)],
+            &[(1, 490), (2, 10)],
+            &[(0, 12)],
+        ];
+        let g = JukeboxGeometry::new(TAPES, u64::from(SLOTS));
+        let mut builder = Catalog::builder(g, BlockSize::from_mb(1), 5, 0);
+        for (block, copies) in (0u32..).zip(copies) {
+            for &(tape, slot) in copies {
+                let addr = PhysicalAddr {
+                    tape: TapeId(tape),
+                    slot: SlotIndex(slot),
+                };
+                builder.place(BlockId(block), addr).unwrap();
+            }
+        }
+        let catalog = builder.build().unwrap();
+        let timing = TimingModel::paper_default();
+        let v = view(&catalog, &timing, Some(TapeId(2)), SlotIndex(0));
+        let pending: Vec<Request> = (0..5).map(|b| req(u64::from(b), b)).collect();
+        let fresh = compute_upper_envelope_fresh(&v, &pending);
+        // The scenario's premise: tape 0 ends at block 4 and tape 2 takes
+        // block 0.
+        assert_eq!(fresh.env, vec![13, 0, 492]);
+        assert_eq!(compute_upper_envelope(&v, &pending), fresh);
+    }
+
     #[test]
     fn cached_envelope_equals_fresh_on_a_deep_snapshot() {
         let geometry = JukeboxGeometry::PAPER_DEFAULT;

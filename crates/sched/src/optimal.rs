@@ -20,8 +20,14 @@
 //! the true optimum by exhaustive enumeration over the replica choice of
 //! each unscheduled request — exponential, so only usable on the small
 //! instances the property tests construct.
-#![allow(clippy::cast_possible_truncation)] // the oracle is capped at test-sized instances
-#![allow(clippy::cast_precision_loss)] // harmonic-series terms use small n
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "the oracle is capped at test-sized instances"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "harmonic-series terms use small n"
+)]
 
 use tapesim_model::{Micros, SlotIndex, TapeId};
 use tapesim_workload::Request;
@@ -50,9 +56,12 @@ pub fn extension_cost(
     // Per tape, the new slots outside the baseline envelope.
     let mut new_slots: Vec<Vec<SlotIndex>> = vec![Vec::new(); tapes];
     for (r, &tape) in pending.iter().zip(assignment) {
+        #[expect(
+            clippy::expect_used,
+            reason = "oracle precondition: assignments only name tapes holding a copy"
+        )]
         let addr = catalog
             .copy_on_tape(r.block, tape)
-            // simlint: allow(panic, oracle precondition; assignments only name tapes holding a copy)
             .expect("request assigned to a tape without a copy");
         if addr.slot.0 >= env1[tape.index()] {
             new_slots[tape.index()].push(addr.slot);
@@ -111,7 +120,7 @@ pub fn brute_force_optimal_extension(
     let mut assignment: Vec<TapeId> = base_assignment
         .iter()
         .zip(pending)
-        // simlint: allow(panic, catalog guarantees at least one replica per block)
+        // The catalog guarantees at least one replica per block.
         .map(|(a, r)| a.unwrap_or_else(|| view.catalog.replicas(r.block)[0].tape))
         .collect();
     let mut best_cost = Micros::from_micros(u64::MAX);

@@ -12,7 +12,10 @@
 //! * **oldest request, max requests** — among the tapes that can satisfy
 //!   the oldest request in the system, choose by max requests;
 //! * **oldest request, max bandwidth** — likewise by max bandwidth.
-#![allow(clippy::cast_precision_loss)] // queue lengths stay far below 2^53
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "queue lengths stay far below 2^53"
+)]
 
 use tapesim_model::TapeId;
 use tapesim_workload::Request;

@@ -289,7 +289,10 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 /// config). The workload *seed* is deliberately not part of the
 /// fingerprint — a wrong seed is caught by the factory stream
 /// fingerprint instead.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one fingerprinted run input"
+)]
 pub fn run_fingerprint(
     engine: EngineKind,
     catalog: &Catalog,

@@ -5,8 +5,11 @@
 //! requests per minute, response-time improvements, and tape-switch
 //! counts. The collector gathers all of these over a measurement window
 //! that excludes a configurable warmup.
-#![allow(clippy::cast_possible_truncation)] // percentile ranks round within sample-vector bounds
-#![allow(clippy::cast_precision_loss)] // counters stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "percentile ranks round within sample-vector bounds"
+)]
+#![expect(clippy::cast_precision_loss, reason = "counters stay far below 2^53")]
 
 use tapesim_model::units::bytes_to_kb_f64;
 use tapesim_model::{Micros, SimTime};
@@ -549,7 +552,7 @@ impl MetricsReport {
     /// per-run percentiles: `idx = ceil(p * n) - 1`.
     pub fn pooled_percentiles(&self) -> DelayPercentiles {
         let s = &self.delay_samples_us;
-        // simlint: allow(panic, windows(2) yields exactly two elements)
+        // `windows(2)` yields two-element slices.
         debug_assert!(s.windows(2).all(|w| w[0] <= w[1]), "samples not sorted");
         let pct = |p: f64| -> f64 {
             if s.is_empty() {

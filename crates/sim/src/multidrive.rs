@@ -59,7 +59,10 @@
 //! [`crate::service::JukeboxService`] layer drives it in external-arrival
 //! mode with [`SteppedMultiDrive::submit_at`], per-request cancellation,
 //! and administrative drive on/offlining.
-#![allow(clippy::cast_possible_truncation)] // drive and tape indices fit u16 by geometry construction
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "drive and tape indices fit u16 by geometry construction"
+)]
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -192,7 +195,10 @@ pub fn run_multi_drive(
 
 /// Runs a multi-drive jukebox under the given fault model. `fault_seed`
 /// drives every fault substream, independently of the workload stream.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_multi_drive_with_faults(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -219,7 +225,10 @@ pub fn run_multi_drive_with_faults(
 /// Runs a multi-drive jukebox while recording every event into `sink`
 /// (see [`crate::trace`]). With a [`NullSink`] this is exactly
 /// [`run_multi_drive_with_faults`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_multi_drive_traced(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -253,7 +262,10 @@ pub fn run_multi_drive_traced(
 ///
 /// This is a thin driver over [`SteppedMultiDrive`]: construct, step to
 /// completion, report.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_multi_drive_checkpointed(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -278,7 +290,10 @@ pub fn run_multi_drive_checkpointed(
 /// a legacy topology (one library, one robot arm) this produces exactly
 /// the report of [`run_multi_drive_with_faults`] at the topology's drive
 /// count — and a byte-identical trace.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_fleet(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -303,7 +318,10 @@ pub fn run_fleet(
 }
 
 /// [`run_fleet`] recording every event into `sink`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_fleet_traced(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -400,7 +418,10 @@ impl<'a> SteppedMultiDrive<'a> {
     /// Builds a stepped multi-drive engine whose generated workload,
     /// fault schedule, tracing, and checkpointing exactly match
     /// [`run_multi_drive_checkpointed`] with the same arguments.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independent run input"
+    )]
     pub fn new(
         catalog: &'a Catalog,
         timing: &'a TimingModel,
@@ -426,7 +447,10 @@ impl<'a> SteppedMultiDrive<'a> {
     /// count is the topology's total; the topology's shelf total must
     /// match the catalog geometry. A legacy topology (one library, one
     /// arm) behaves byte-identically to [`SteppedMultiDrive::new`].
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independent run input"
+    )]
     pub fn new_with_topology(
         catalog: &'a Catalog,
         timing: &'a TimingModel,
@@ -458,7 +482,10 @@ impl<'a> SteppedMultiDrive<'a> {
 
     /// [`SteppedMultiDrive::new_with_topology`] in external-arrival mode
     /// (see [`SteppedMultiDrive::new_external`]).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independent run input"
+    )]
     pub fn new_external_with_topology(
         catalog: &'a Catalog,
         timing: &'a TimingModel,
@@ -492,7 +519,10 @@ impl<'a> SteppedMultiDrive<'a> {
     /// requests enter via [`submit_at`](SteppedMultiDrive::submit_at),
     /// and completions/failures surface as [`EngineEvent`]s.
     /// Checkpointing is not supported in this mode.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independent run input"
+    )]
     pub fn new_external(
         catalog: &'a Catalog,
         timing: &'a TimingModel,
@@ -520,7 +550,10 @@ impl<'a> SteppedMultiDrive<'a> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independent run input"
+    )]
     fn build(
         catalog: &'a Catalog,
         timing: &'a TimingModel,
@@ -1084,7 +1117,10 @@ impl<'a> SteppedMultiDrive<'a> {
 
     /// One full drive-dispatch event, translated statement for statement
     /// from the monolithic `'outer` loop this engine used to be.
-    #[allow(clippy::too_many_lines)]
+    #[expect(
+        clippy::too_many_lines,
+        reason = "kept statement for statement as the loop it was translated from"
+    )]
     fn step_drive(&mut self, d: usize) -> Result<(), SimError> {
         // Checkpoint before this iteration mutates anything (the clock
         // update below is re-derived identically on resume).

@@ -65,6 +65,10 @@ pub fn run_one(spec: &RunSpec<'_>, seed: u64) -> Result<MetricsReport, SimError>
 
 /// Runs the specification under each seed (in parallel) and returns the
 /// averaged report plus the per-seed reports, in seed order.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "deterministic fork-join: one scoped thread per seed, results collected in seed order"
+)]
 pub fn run_seeds(
     spec: &RunSpec<'_>,
     seeds: &[u64],
@@ -75,7 +79,6 @@ pub fn run_seeds(
     let reports: Vec<MetricsReport> = if let [seed] = seeds {
         vec![run_one(spec, *seed)?]
     } else {
-        // simlint: allow(par-contract, deterministic fork-join: one scoped thread per seed, results collected in seed order)
         std::thread::scope(|scope| {
             let handles: Vec<_> = seeds
                 .iter()

@@ -5,8 +5,14 @@
 //! on live [`MemorySink`](super::MemorySink) captures and on traces
 //! parsed back from JSONL alike — and can cross-check the engines' own
 //! [`MetricsCollector`](crate::MetricsCollector) aggregates.
-#![allow(clippy::cast_possible_truncation)] // percentile ranks round within sample-vector bounds
-#![allow(clippy::cast_precision_loss)] // sample counts stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "percentile ranks round within sample-vector bounds"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "sample counts stay far below 2^53"
+)]
 
 use tapesim_model::Micros;
 

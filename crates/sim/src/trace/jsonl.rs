@@ -21,7 +21,10 @@
 //! serialized traces is equivalent to structural comparison — but
 //! [`compare`] still parses both sides so a mismatch can be reported
 //! field-by-field.
-#![allow(clippy::cast_possible_truncation)] // trace fields are re-narrowed to the widths they were written with
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "trace fields are re-narrowed to the widths they were written with"
+)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

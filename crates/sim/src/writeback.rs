@@ -26,8 +26,14 @@
 //! an idle-time flush, or an idle period), so the batch driver
 //! [`run_with_writeback`] — construct, step to completion, finish — is
 //! byte-for-byte equivalent to the pre-refactor code.
-#![allow(clippy::cast_possible_truncation)] // buffer and slot counts are bounded by jukebox geometry
-#![allow(clippy::cast_precision_loss)] // delta counters stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "buffer and slot counts are bounded by jukebox geometry"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "delta counters stay far below 2^53"
+)]
 
 use std::collections::VecDeque;
 
@@ -134,7 +140,10 @@ pub fn run_with_writeback(
 ///
 /// # Errors
 /// Same as [`run_with_writeback`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_with_writeback_traced(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -169,7 +178,10 @@ pub fn run_with_writeback_traced(
 /// [`crate::checkpoint::load`] and
 /// [`SimError::CheckpointConfigMismatch`] when resuming into a different
 /// configuration.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent run input"
+)]
 pub fn run_with_writeback_checkpointed(
     catalog: &Catalog,
     timing: &TimingModel,
@@ -245,7 +257,10 @@ impl<'a> SteppedWriteBack<'a> {
     ///
     /// # Errors
     /// Same as [`run_with_writeback_checkpointed`].
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is one independent run input"
+    )]
     pub fn new(
         catalog: &'a Catalog,
         timing: &'a TimingModel,
@@ -882,7 +897,10 @@ impl<'a> SteppedWriteBack<'a> {
 
 /// Streams every buffered delta destined for `tape` into its append
 /// region: one locate to the region, then sequential block writes.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the flush reads and advances the engine state piecewise"
+)]
 fn flush_deltas(
     catalog: &Catalog,
     timing: &TimingModel,

@@ -10,7 +10,6 @@
 //!   modeled as a Poisson arrival process. Workload intensity is set by
 //!   the mean interarrival time, and the arrival rate is independent of
 //!   the service rate.
-#![allow(clippy::cast_precision_loss)] // request counts stay far below 2^53
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -477,6 +476,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "sample counts stay far below 2^53"
+    )]
     fn poisson_gaps_are_memoryless_ish() {
         // Coefficient of variation of an exponential is 1.
         let mean = Micros::from_secs(60);

@@ -6,7 +6,6 @@
 //! the hot blocks uniformly at random; a cold request selects one of the
 //! cold blocks uniformly at random. Requested block numbers are
 //! independent of one another.
-#![allow(clippy::cast_precision_loss)] // request counts stay far below 2^53
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -112,6 +111,10 @@ mod tests {
         let s = BlockSampler::new(1000, 100, 40.0);
         let mut rng = StdRng::seed_from_u64(1);
         let n = 50_000;
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "sample counts stay far below 2^53"
+        )]
         let hot = (0..n).filter(|_| s.sample(&mut rng).0 < 100).count() as f64;
         let frac = hot / n as f64;
         assert!((frac - 0.4).abs() < 0.01, "hot fraction {frac}");

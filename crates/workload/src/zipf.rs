@@ -8,8 +8,14 @@
 //! module provides such a sampler (block id 0 = most popular, matching
 //! the catalog convention that hot blocks are a prefix) so the paper's
 //! conclusions can be checked under a smoother skew (`ext_zipf`).
-#![allow(clippy::cast_possible_truncation)] // block populations are u32-bounded catalog sizes
-#![allow(clippy::cast_precision_loss)] // populations stay far below 2^53
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "block populations are u32-bounded catalog sizes"
+)]
+#![expect(
+    clippy::cast_precision_loss,
+    reason = "populations stay far below 2^53"
+)]
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -5,6 +5,10 @@
 //! Run with:
 //! `cargo run --release -p tapesim-examples --bin capacity_planner [RH]`
 //! where `RH` is the percent of requests hitting hot data (default 60).
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message on an infeasible configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim::Scale;

@@ -3,6 +3,10 @@
 //! max-bandwidth envelope algorithm.
 //!
 //! Run with: `cargo run --release -p tapesim-examples --bin quickstart`
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message on an infeasible configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim::Scale;

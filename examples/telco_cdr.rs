@@ -6,6 +6,10 @@
 //! use, and which scheduling algorithm should drive the jukebox?
 //!
 //! Run with: `cargo run --release -p tapesim-examples --bin telco_cdr`
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message on an infeasible configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim::Scale;

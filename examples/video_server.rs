@@ -8,6 +8,10 @@
 //! 4.8), and what does it do to viewer startup latency?
 //!
 //! Run with: `cargo run --release -p tapesim-examples --bin video_server`
+#![expect(
+    clippy::expect_used,
+    reason = "an example stops with a message on an infeasible configuration"
+)]
 
 use tapesim::prelude::*;
 use tapesim_examples::summarize;

@@ -35,7 +35,6 @@ fn fault_preset(idx: usize) -> FaultConfig {
 }
 
 /// Runs one traced simulation and returns its trace.
-#[allow(clippy::too_many_arguments)]
 fn run_traced(
     replicas: u32,
     algorithm: AlgorithmId,
