@@ -1,6 +1,6 @@
-//! Deterministic chaos soak: seeded fault/overload/kill-9 schedules over
-//! the stepped core and the jukebox service, asserting conservation,
-//! trace invariants, and bit-identical replay per seed.
+//! Deterministic chaos soak: seeded fault/overload schedules over the
+//! stepped core and the jukebox service, asserting conservation, trace
+//! invariants, and bit-identical replay per seed.
 //!
 //! ```text
 //! chaos [--seeds N] [--seed-base B] [--scale quick|default|paper]
@@ -44,7 +44,6 @@ fn parse_opts() -> Opts {
             seeds: 20,
             seed_base: 0,
             scale: Scale::Quick,
-            workdir: std::env::temp_dir(),
         },
         trace: None,
         out: Some(PathBuf::from("BENCH_CHAOS.jsonl")),
@@ -113,8 +112,6 @@ fn main() -> ExitCode {
         "expired",
         "retries",
         "trace_events",
-        "kill_steps",
-        "resumed_events",
     ]);
     for s in &outcome.seeds {
         t.push([
@@ -125,14 +122,11 @@ fn main() -> ExitCode {
             s.expired.to_string(),
             s.retries.to_string(),
             s.trace_events.to_string(),
-            s.kill_steps.to_string(),
-            s.resumed_events.to_string(),
         ]);
     }
     println!("{}", t.to_aligned());
     println!(
-        "all {} seed(s) clean: conservation, trace invariants, bit-identical replay, \
-         kill-9 resume equivalence",
+        "all {} seed(s) clean: conservation, trace invariants, bit-identical replay",
         outcome.seeds.len()
     );
     if let Some(path) = &opts.out {

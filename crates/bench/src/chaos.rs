@@ -1,25 +1,15 @@
 //! Deterministic chaos soak over the stepped core and the service layer
 //! (see the `chaos` binary).
 //!
-//! Each seed drives two independent torture cycles, every schedule
-//! derived from the seed through a SplitMix64 stream (no ambient
-//! randomness, no wall clock):
-//!
-//! 1. **Service soak** — a [`JukeboxService`] over the external-arrival
-//!    stepped multi-drive core is fed a seeded schedule of request
-//!    bursts (some deliberately larger than the admission queue),
-//!    transient media faults that heal mid-run, tape failure/repair
-//!    cycles, and administrative drive offline/online flips — including
-//!    occasional last-drive loss. The run is then replayed from the same
-//!    seed and must reproduce a **byte-identical JSONL trace** and
-//!    exactly equal reports.
-//! 2. **Kill-9 / checkpoint-resume cycle** — a generated-arrival stepped
-//!    run writes periodic checkpoints (the PR 5 seam), is abandoned
-//!    mid-flight without any cleanup (the in-process equivalent of
-//!    `kill -9`), and is resumed from the file left on disk. The resumed
-//!    run must land on exactly the uninterrupted run's report, and its
-//!    trace must be byte-identical to the uninterrupted trace's suffix
-//!    from the checkpoint's sequence number on.
+//! Each seed drives one torture cycle, its schedule derived from the
+//! seed through a SplitMix64 stream (no ambient randomness, no wall
+//! clock): a [`JukeboxService`] over the external-arrival stepped
+//! multi-drive core is fed a seeded schedule of request bursts (some
+//! deliberately larger than the admission queue), transient media faults
+//! that heal mid-run, tape failure/repair cycles, and administrative
+//! drive offline/online flips — including occasional last-drive loss.
+//! The run is then replayed from the same seed and must reproduce a
+//! **byte-identical JSONL trace** and exactly equal reports.
 //!
 //! Invariants asserted per seed, all violations fatal:
 //!
@@ -27,31 +17,26 @@
 //!   rejected / expired: aggregate ([`ServiceStats::check_conservation`])
 //!   *and* per ticket (no ticket is left queued or awaiting retry after
 //!   drain), and the engine-side balance `admitted == served + failed +
-//!   unserved + cancelled` holds for both phases.
+//!   unserved + cancelled` holds.
 //! - **Trace invariants** — the service trace passes the §2.2 checker
 //!   ([`tapesim::sim::check_trace`]): mount state machine, sweep
 //!   ordering, request conservation.
-//! - **Bit-identical replay** — same seed, same bytes, for both the
-//!   service trace and the resumed checkpoint suffix.
+//! - **Bit-identical replay** — same seed, same bytes.
 #![expect(
     clippy::cast_possible_truncation,
     clippy::cast_precision_loss,
     reason = "chaos draws come from `ChaosRng::below` over small ranges"
 )]
 
-use std::path::{Path, PathBuf};
-
 use tapesim::layout::{
     build_placement, BlockId, Catalog, LayoutKind, PlacementConfig, PlacementScheme,
 };
 use tapesim::model::{BlockSize, FaultConfig, JukeboxGeometry, Micros, SimTime, TimingModel};
 use tapesim::sched::{make_scheduler, AlgorithmId, EnvelopePolicy, TapeSelectPolicy};
-use tapesim::sim::checkpoint::{self, CheckpointOpts};
 use tapesim::sim::trace::jsonl;
 use tapesim::sim::{
-    check_trace, run_multi_drive_traced, AdmissionPolicy, JukeboxService, MemorySink,
-    MetricsReport, ServiceConfig, ServiceStats, SimError, StepOutcome, SteppedMultiDrive,
-    TicketState, TraceRecord,
+    check_trace, AdmissionPolicy, JukeboxService, MemorySink, MetricsReport, ServiceConfig,
+    ServiceStats, SimError, SteppedMultiDrive, TicketState, TraceRecord,
 };
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
 use tapesim::Scale;
@@ -65,8 +50,6 @@ pub struct ChaosConfig {
     pub seed_base: u64,
     /// Simulation scale of every run.
     pub scale: Scale,
-    /// Directory for the checkpoint files of the kill-9 cycles.
-    pub workdir: PathBuf,
 }
 
 /// Per-seed summary of a clean (violation-free) soak cycle.
@@ -86,10 +69,6 @@ pub struct SeedReport {
     pub retries: u64,
     /// Trace records emitted by the service run.
     pub trace_events: u64,
-    /// Steps executed before the kill-9 abandonment.
-    pub kill_steps: u64,
-    /// Trace records replayed by the resumed run.
-    pub resumed_events: u64,
 }
 
 impl SeedReport {
@@ -98,17 +77,14 @@ impl SeedReport {
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"seed\":{},\"submitted\":{},\"completed\":{},\"rejected\":{},\
-             \"expired\":{},\"retries\":{},\"trace_events\":{},\"kill_steps\":{},\
-             \"resumed_events\":{}}}",
+             \"expired\":{},\"retries\":{},\"trace_events\":{}}}",
             self.seed,
             self.submitted,
             self.completed,
             self.rejected,
             self.expired,
             self.retries,
-            self.trace_events,
-            self.kill_steps,
-            self.resumed_events
+            self.trace_events
         )
     }
 }
@@ -395,178 +371,6 @@ fn check_service_run(seed: u64, run: &ServiceRun) -> Result<(), String> {
     Ok(())
 }
 
-/// Fault presets of the kill-9 cycle (indexed by the chaos stream): none,
-/// transient-heavy (exercises the healing state in the checkpoint), and
-/// tape failure/repair.
-fn kill9_faults(pick: u64) -> FaultConfig {
-    match pick % 3 {
-        0 => FaultConfig::NONE,
-        1 => FaultConfig {
-            media_error_per_read: 0.05,
-            media_retries: 1,
-            copy_heal_mttr: Some(Micros::from_secs(8_000)),
-            load_failure_p: 0.05,
-            load_retries: 1,
-            ..FaultConfig::NONE
-        },
-        _ => FaultConfig {
-            tape_mtbf: Some(Micros::from_secs(40_000)),
-            tape_mttr: Some(Micros::from_secs(5_000)),
-            ..FaultConfig::NONE
-        },
-    }
-}
-
-/// One kill-9 / checkpoint-resume cycle: returns `(kill_steps,
-/// resumed_events)` on success.
-fn kill9_cycle(seed: u64, scale: Scale, workdir: &Path) -> Result<(u64, u64), String> {
-    let placed = build_placement(
-        JukeboxGeometry::FIVE_TAPE,
-        BlockSize::PAPER_DEFAULT,
-        PlacementConfig::paper_baseline(),
-    )
-    .map_err(|e| format!("kill9 placement infeasible: {e}"))?;
-    let catalog = &placed.catalog;
-    let timing = TimingModel::paper_default();
-    let sim = scale.sim_config();
-    let mut rng = ChaosRng::new(seed ^ 0x9111_9111);
-
-    let drives = [1u16, 2, 4][rng.below(3) as usize];
-    let algorithm = SOAK_ALGORITHMS[rng.below(SOAK_ALGORITHMS.len() as u64) as usize];
-    let faults = kill9_faults(rng.below(3));
-    let process = if rng.chance(2) {
-        ArrivalProcess::Closed { queue_length: 25 }
-    } else {
-        ArrivalProcess::OpenPoisson {
-            mean_interarrival: Micros::from_secs(240),
-        }
-    };
-    let fresh_factory = |catalog: &Catalog| {
-        RequestFactory::new(BlockSampler::from_catalog(catalog, 40.0), process, seed)
-    };
-
-    // Uninterrupted reference run.
-    let (full_report, full_trace) = {
-        let mut factory = fresh_factory(catalog);
-        let mut sched = make_scheduler(algorithm);
-        let mut sink = MemorySink::new();
-        let report = run_multi_drive_traced(
-            catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &sim,
-            drives,
-            &faults,
-            seed ^ 0xFA17,
-            &mut sink,
-        )
-        .map_err(|e| format!("seed {seed}: reference run failed: {e}"))?;
-        (report, sink.into_events())
-    };
-    let r = &full_report;
-    if r.admitted != r.served + r.failed_requests + r.unserved + r.cancelled {
-        return Err(format!(
-            "seed {seed}: batch balance violated: admitted {} != served {} + failed {} + \
-             unserved {} + cancelled {}",
-            r.admitted, r.served, r.failed_requests, r.unserved, r.cancelled
-        ));
-    }
-
-    // Interrupted run: checkpoint periodically, then abandon mid-flight
-    // ("kill -9"): no finish(), no final save — exactly the state a dead
-    // process leaves behind is what resume gets.
-    let ckpt_path = workdir.join(format!("chaos-{}-{seed}.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&ckpt_path);
-    let every = Micros::from_secs(10_000 + 5_000 * rng.below(5));
-    let extra_steps = rng.below(400);
-    let mut kill_steps = 0u64;
-    {
-        let mut factory = fresh_factory(catalog);
-        let mut sched = make_scheduler(algorithm);
-        let mut sink = MemorySink::new();
-        let mut engine = SteppedMultiDrive::new(
-            catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &sim,
-            drives,
-            &faults,
-            seed ^ 0xFA17,
-            &mut sink,
-            &CheckpointOpts::checkpoint_every(every, &ckpt_path),
-        )
-        .map_err(|e| format!("seed {seed}: killed run construction failed: {e}"))?;
-        let mut after_first_ckpt: Option<u64> = None;
-        loop {
-            let outcome = engine
-                .step()
-                .map_err(|e| format!("seed {seed}: killed run step failed: {e}"))?;
-            kill_steps += 1;
-            if outcome == StepOutcome::Done {
-                break;
-            }
-            match after_first_ckpt {
-                None if ckpt_path.exists() => after_first_ckpt = Some(extra_steps),
-                Some(0) => break,
-                Some(n) => after_first_ckpt = Some(n - 1),
-                None => {}
-            }
-        }
-        // Dropping the engine (and its sink) here IS the kill: nothing
-        // is flushed or finalized past the last on-disk checkpoint.
-    }
-    if !ckpt_path.exists() {
-        return Err(format!(
-            "seed {seed}: killed run wrote no checkpoint (interval {every} too long?)"
-        ));
-    }
-    let ckpt = checkpoint::load(&ckpt_path)
-        .map_err(|e| format!("seed {seed}: checkpoint left by the kill does not load: {e}"))?;
-
-    // Resume and compare against the uninterrupted run.
-    let (resumed_report, resumed_trace) = {
-        let mut factory = fresh_factory(catalog);
-        let mut sched = make_scheduler(algorithm);
-        let mut sink = MemorySink::new();
-        let report = tapesim::sim::run_multi_drive_checkpointed(
-            catalog,
-            &timing,
-            sched.as_mut(),
-            &mut factory,
-            &sim,
-            drives,
-            &faults,
-            seed ^ 0xFA17,
-            &mut sink,
-            &CheckpointOpts::resume_from(&ckpt_path),
-        )
-        .map_err(|e| format!("seed {seed}: resume failed: {e}"))?;
-        (report, sink.into_events())
-    };
-    let _ = std::fs::remove_file(&ckpt_path);
-
-    if resumed_report != full_report {
-        return Err(format!(
-            "seed {seed}: resumed report diverges from the uninterrupted run"
-        ));
-    }
-    let suffix: Vec<TraceRecord> = full_trace
-        .iter()
-        .filter(|rec| rec.seq >= ckpt.trace_seq)
-        .cloned()
-        .collect();
-    if jsonl::to_jsonl_string(&resumed_trace) != jsonl::to_jsonl_string(&suffix) {
-        return Err(format!(
-            "seed {seed}: resumed trace is not byte-identical to the uninterrupted suffix \
-             (from seq {})",
-            ckpt.trace_seq
-        ));
-    }
-    Ok((kill_steps, resumed_trace.len() as u64))
-}
-
 /// Runs the full soak. Returns the per-seed summaries and the sample
 /// trace, or the first invariant violation as an error string.
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<SoakOutcome, String> {
@@ -591,9 +395,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<SoakOutcome, String> {
             return Err(format!("seed {seed}: service replay report diverges"));
         }
 
-        // Kill-9 / checkpoint-resume cycle.
-        let (kill_steps, resumed_events) = kill9_cycle(seed, cfg.scale, &cfg.workdir)?;
-
         seeds.push(SeedReport {
             seed,
             submitted: run.stats.submitted,
@@ -602,8 +403,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<SoakOutcome, String> {
             expired: run.stats.expired,
             retries: run.stats.retries,
             trace_events: run.records.len() as u64,
-            kill_steps,
-            resumed_events,
         });
         if i == 0 {
             sample_trace = run.records;
@@ -639,7 +438,6 @@ mod tests {
             seeds,
             seed_base,
             scale: Scale::Quick,
-            workdir: std::env::temp_dir(),
         }
     }
 
@@ -650,8 +448,6 @@ mod tests {
         assert!(!outcome.sample_trace.is_empty());
         for s in &outcome.seeds {
             assert_eq!(s.submitted, s.completed + s.rejected + s.expired);
-            assert!(s.kill_steps > 0, "kill happened mid-flight");
-            assert!(s.resumed_events > 0, "resume replayed events");
         }
     }
 
@@ -665,12 +461,10 @@ mod tests {
             expired: 4,
             retries: 2,
             trace_events: 1234,
-            kill_steps: 55,
-            resumed_events: 99,
         }
         .to_json_line();
         assert!(line.starts_with("{\"seed\":7,"));
-        assert!(line.ends_with("\"resumed_events\":99}"));
+        assert!(line.ends_with("\"trace_events\":1234}"));
         assert!(line.contains("\"completed\":90"));
     }
 

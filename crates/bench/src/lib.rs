@@ -28,7 +28,8 @@ pub mod redundancy;
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
 use tapesim::prelude::*;
 use tapesim::sim::trace::jsonl;
@@ -190,21 +191,52 @@ impl FigureCache {
         self.done.get(name).map(String::as_str)
     }
 
-    /// Records a finished figure and flushes the cache file (written to
-    /// a temp file and renamed, so the cache is never half-written).
+    /// Records a finished figure and rewrites the cache file atomically
+    /// and durably, so the file on disk always holds a complete cache.
+    /// A failed write is a warning: the run itself goes on.
     pub fn record(&mut self, name: &str, csv: &str) {
         self.done.insert(name.to_string(), csv.to_string());
         let Some(path) = &self.write_path else { return };
+        if let Err(e) = write_durably(path, &self.to_text()) {
+            eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
+        }
+    }
+
+    /// The cache file's text: the `=meta` line, then one section per
+    /// finished figure.
+    fn to_text(&self) -> String {
         let mut out = format!("=meta {}\n", self.meta);
         for (k, v) in &self.done {
             out.push_str(&format!("=figure {k}\n{v}=endfigure\n"));
         }
-        let tmp = path.with_extension("ckpt.tmp");
-        let write = fs::write(&tmp, out).and_then(|()| fs::rename(&tmp, path));
-        if let Err(e) = write {
-            eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
-        }
+        out
     }
+}
+
+/// Writes `text` to `path` atomically and durably: the text goes to a
+/// temp file first, is fsynced, and is renamed into place; then the
+/// parent directory is fsynced (on Unix) so the rename itself survives a
+/// power loss. `path` therefore always holds a complete file even if the
+/// process dies mid-write; a torn temp file is overwritten next time.
+fn write_durably(path: &Path, text: &str) -> std::io::Result<()> {
+    let tmp = path.with_extension("ckpt.tmp");
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    // A rename is atomic in the namespace but says nothing about the
+    // data blocks: without this barrier a crash could leave `path`
+    // naming a complete-looking file with torn contents.
+    file.sync_all()?;
+    drop(file);
+    fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
 }
 
 fn parse_figure_cache(text: &str, expect_meta: &str) -> Result<BTreeMap<String, String>, String> {
@@ -417,4 +449,116 @@ pub fn emit_figure(
     println!("{}", series_to_table(series, param_name));
     let csv = series_to_csv(series, param_name);
     write_csv(opts, &format!("{name}_{}", opts.variant()), &csv);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const META: &str = "scale=Quick open=false";
+    const CSV_A: &str = "series,queue_length\nfifo,20\n";
+    const CSV_B: &str = "series,queue_length\nenvelope,60\nenvelope,140\n";
+
+    fn opts(scale: Scale, open: bool) -> HarnessOpts {
+        HarnessOpts {
+            scale,
+            open,
+            out_dir: None,
+            trace: None,
+            checkpoint: None,
+            resume: None,
+        }
+    }
+
+    /// A cache path in the system temp dir, unique per test and process.
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "tapesim-figure-cache-{}-{tag}.txt",
+            std::process::id()
+        ))
+    }
+
+    /// Writes a quick closed-variant cache holding two figures.
+    fn write_cache(path: &Path) {
+        let mut writer = FigureCache::from_opts(&HarnessOpts {
+            checkpoint: Some(path.to_path_buf()),
+            ..opts(Scale::Quick, false)
+        });
+        writer.record("fig4_closed", CSV_A);
+        writer.record("fig6_closed", CSV_B);
+    }
+
+    fn resume(path: &Path, scale: Scale, open: bool) -> FigureCache {
+        FigureCache::from_opts(&HarnessOpts {
+            resume: Some(path.to_path_buf()),
+            ..opts(scale, open)
+        })
+    }
+
+    #[test]
+    fn recorded_cache_resumes_the_same_csvs() {
+        let path = temp_path("roundtrip");
+        write_cache(&path);
+        let resumed = resume(&path, Scale::Quick, false);
+        let tmp_left = path.with_extension("ckpt.tmp").exists();
+        let _ = fs::remove_file(&path);
+        assert_eq!(resumed.get("fig4_closed"), Some(CSV_A));
+        assert_eq!(resumed.get("fig6_closed"), Some(CSV_B));
+        assert_eq!(resumed.get("fig8_closed"), None);
+        assert!(!tmp_left, "the temp file is renamed into place");
+    }
+
+    #[test]
+    fn cache_from_another_scale_or_variant_is_refused() {
+        let path = temp_path("meta");
+        write_cache(&path);
+        let same = resume(&path, Scale::Quick, false);
+        let other_scale = resume(&path, Scale::Default, false);
+        let other_variant = resume(&path, Scale::Quick, true);
+        let _ = fs::remove_file(&path);
+        assert_eq!(same.get("fig4_closed"), Some(CSV_A));
+        assert_eq!(other_scale.get("fig4_closed"), None);
+        assert_eq!(other_variant.get("fig4_closed"), None);
+        let text = format!("=meta {META}\n=figure f\n{CSV_A}=endfigure\n");
+        assert!(parse_figure_cache(&text, META).is_ok());
+        assert!(parse_figure_cache(&text, "scale=Default open=false").is_err());
+        assert!(parse_figure_cache(&text, "scale=Quick open=true").is_err());
+    }
+
+    #[test]
+    fn malformed_sections_are_errors() {
+        for (body, what) in [
+            ("=figure f\na,b\n", "missing =endfigure"),
+            ("=figure f\n=figure g\na,b\n=endfigure\n", "nested =figure"),
+            ("stray\n=figure f\na,b\n=endfigure\n", "stray line before"),
+            ("=figure f\na,b\n=endfigure\nstray\n", "stray line after"),
+            ("=endfigure\n", "=endfigure without =figure"),
+        ] {
+            let text = format!("=meta {META}\n{body}");
+            assert!(parse_figure_cache(&text, META).is_err(), "{what}");
+        }
+        assert!(parse_figure_cache("", META).is_err(), "missing =meta");
+    }
+
+    #[test]
+    fn every_truncation_parses_or_errors_without_panicking() {
+        let mut cache = FigureCache {
+            write_path: None,
+            meta: META.to_string(),
+            done: BTreeMap::new(),
+        };
+        cache.record("fig4_closed", CSV_A);
+        cache.record("fig6_closed", CSV_B);
+        let text = cache.to_text();
+        assert_eq!(parse_figure_cache(&text, META).as_ref(), Ok(&cache.done));
+        for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+            // A truncated cache may only ever restore figures it really
+            // finished: whatever parses is a subset of the full cache.
+            if let Ok(map) = parse_figure_cache(&text[..end], META) {
+                for (name, csv) in &map {
+                    assert_eq!(cache.done.get(name), Some(csv), "cut at {end}");
+                }
+            }
+        }
+    }
 }

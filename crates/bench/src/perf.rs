@@ -837,6 +837,37 @@ mod tests {
         }
     }
 
+    /// The exact work-counter half of the `perf --check` gate, in
+    /// tier-1: one run of every quick scenario, with the seed and horizon
+    /// `run_matrix` uses, must reproduce the checked-in baseline's
+    /// `completed` and `physical_reads`. A mismatch means the simulation
+    /// changed; refresh `bench/baseline.json` only in a change that
+    /// explains why.
+    #[test]
+    fn quick_matrix_counters_equal_the_baseline() {
+        let baseline = PerfReport::from_json(include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench/baseline.json"
+        )))
+        .unwrap();
+        assert_eq!(baseline.scale, scale_name(Scale::Quick));
+        let sim = Scale::Quick.sim_config();
+        let seed = tapesim::sim::default_seeds(1)[0];
+        let matrix = scenario_matrix(Scale::Quick);
+        assert_eq!(matrix.len(), baseline.scenarios.len());
+        for (spec, want) in matrix.iter().zip(&baseline.scenarios) {
+            assert_eq!(spec.name, want.name);
+            let placed = spec.cfg.build_catalog().unwrap();
+            let got = run_scenario(spec, &placed, &sim, seed).unwrap();
+            assert_eq!(
+                got,
+                (want.completed, want.physical_reads),
+                "{}: (completed, physical_reads) moved off the baseline",
+                spec.name
+            );
+        }
+    }
+
     #[test]
     fn traced_null_sink_matches_untraced_run() {
         let sim = SimConfig {

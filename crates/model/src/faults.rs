@@ -548,164 +548,6 @@ impl FaultInjector {
         };
         self.degraded + open
     }
-
-    /// Captures the injector's complete mutable state (RNG positions,
-    /// per-tape/drive timers, downtime accounting, bad-copy set) for a
-    /// checkpoint. The configuration and substream seeds are *not* part
-    /// of the snapshot; a restore target must be constructed with the
-    /// same [`FaultConfig`], geometry, drive count, and seed.
-    pub fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            media_rng: self.media_rng.state,
-            load_rng: self.load_rng.state,
-            now_us: self.now.as_micros(),
-            degraded_since_us: self.degraded_since.map(SimTime::as_micros),
-            degraded_us: self.degraded.as_micros(),
-            media_errors: self.media_errors,
-            permanent_damage: self.permanent_damage,
-            tapes: self
-                .tapes
-                .iter()
-                .map(|t| TapeFaultSnapshot {
-                    rng: t.rng.state,
-                    online: t.online,
-                    next_change_us: t.next_change.map(SimTime::as_micros),
-                    offline_since_us: t.offline_since.as_micros(),
-                    downtime_us: t.downtime.as_micros(),
-                    permanent: t.permanent,
-                })
-                .collect(),
-            drives: self
-                .drives
-                .iter()
-                .map(|d| DriveFaultSnapshot {
-                    rng: d.rng.state,
-                    next_fail_us: d.next_fail.map(SimTime::as_micros),
-                })
-                .collect(),
-            bad_copies: self
-                .bad_copies
-                .iter()
-                .map(|&(tape, slot)| (tape.0, slot))
-                .collect(),
-            heal_rng: self.heal_rng.state,
-            healing: self
-                .healing
-                .iter()
-                .map(|(&(tape, slot), &at)| (tape.0, slot, at.as_micros()))
-                .collect(),
-        }
-    }
-
-    /// Restores state captured by [`FaultInjector::snapshot`] into an
-    /// injector freshly constructed with the same configuration. The
-    /// offline set is rebuilt from the per-tape online flags. Errors if
-    /// the tape or drive counts disagree with this injector's geometry.
-    pub fn restore(&mut self, snap: &FaultSnapshot) -> Result<(), &'static str> {
-        if snap.tapes.len() != self.tapes.len() {
-            return Err("fault snapshot tape count does not match geometry");
-        }
-        if snap.drives.len() != self.drives.len() {
-            return Err("fault snapshot drive count does not match configuration");
-        }
-        self.media_rng.state = snap.media_rng;
-        self.load_rng.state = snap.load_rng;
-        self.now = SimTime::from_micros(snap.now_us);
-        self.degraded_since = snap.degraded_since_us.map(SimTime::from_micros);
-        self.degraded = Micros::from_micros(snap.degraded_us);
-        self.media_errors = snap.media_errors;
-        self.permanent_damage = snap.permanent_damage;
-        for (state, s) in self.tapes.iter_mut().zip(&snap.tapes) {
-            state.rng.state = s.rng;
-            state.online = s.online;
-            state.next_change = s.next_change_us.map(SimTime::from_micros);
-            state.offline_since = SimTime::from_micros(s.offline_since_us);
-            state.downtime = Micros::from_micros(s.downtime_us);
-            state.permanent = s.permanent;
-        }
-        for (state, s) in self.drives.iter_mut().zip(&snap.drives) {
-            state.rng.state = s.rng;
-            state.next_fail = s.next_fail_us.map(SimTime::from_micros);
-        }
-        self.offline = self
-            .tapes
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.online)
-            .map(|(i, _)| TapeId(i as u16))
-            .collect();
-        self.bad_copies = snap
-            .bad_copies
-            .iter()
-            .map(|&(tape, slot)| (TapeId(tape), slot))
-            .collect();
-        self.heal_rng.state = snap.heal_rng;
-        self.healing = snap
-            .healing
-            .iter()
-            .map(|&(tape, slot, at_us)| ((TapeId(tape), slot), SimTime::from_micros(at_us)))
-            .collect();
-        Ok(())
-    }
-}
-
-/// Serializable snapshot of one tape's fault state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TapeFaultSnapshot {
-    /// SplitMix64 state of the tape's failure/repair stream.
-    pub rng: u64,
-    /// Whether the tape is currently online.
-    pub online: bool,
-    /// Time of the next failure/repair event, in microseconds.
-    pub next_change_us: Option<u64>,
-    /// Start of the current outage, in microseconds (meaningful offline).
-    pub offline_since_us: u64,
-    /// Completed downtime so far, in microseconds.
-    pub downtime_us: u64,
-    /// True once failed with repairs disabled.
-    pub permanent: bool,
-}
-
-/// Serializable snapshot of one drive's fault state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriveFaultSnapshot {
-    /// SplitMix64 state of the drive's failure stream.
-    pub rng: u64,
-    /// Time of the next drive failure, in microseconds.
-    pub next_fail_us: Option<u64>,
-}
-
-/// Complete mutable state of a [`FaultInjector`], produced by
-///// [`FaultInjector::snapshot`] and consumed by [`FaultInjector::restore`]
-/// on an identically configured injector. All times are raw microsecond
-/// counts so the snapshot round-trips exactly through a text checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultSnapshot {
-    /// SplitMix64 state of the media-error stream.
-    pub media_rng: u64,
-    /// SplitMix64 state of the load-failure stream.
-    pub load_rng: u64,
-    /// The injector's clock, in microseconds.
-    pub now_us: u64,
-    /// Start of the open degraded interval, if any, in microseconds.
-    pub degraded_since_us: Option<u64>,
-    /// Completed degraded time, in microseconds.
-    pub degraded_us: u64,
-    /// Media errors drawn so far.
-    pub media_errors: u64,
-    /// True once any copy or tape has been permanently lost.
-    pub permanent_damage: bool,
-    /// Per-tape state, in tape-id order.
-    pub tapes: Vec<TapeFaultSnapshot>,
-    /// Per-drive state, in drive order.
-    pub drives: Vec<DriveFaultSnapshot>,
-    /// Copies declared bad, as `(tape, slot)` pairs in sorted order.
-    pub bad_copies: Vec<(u16, u32)>,
-    /// SplitMix64 state of the copy-heal stream.
-    pub heal_rng: u64,
-    /// Copies still healing, as `(tape, slot, heal_at_us)` triples in
-    /// sorted order.
-    pub healing: Vec<(u16, u32, u64)>,
 }
 
 #[cfg(test)]
@@ -829,6 +671,7 @@ mod tests {
     fn same_seed_gives_identical_schedules() {
         let cfg = FaultConfig {
             media_error_per_read: 0.05,
+            load_failure_p: 0.02,
             tape_mtbf: Some(Micros::from_secs(500)),
             tape_mttr: Some(Micros::from_secs(60)),
             drive_mtbf: Some(Micros::from_secs(2_000)),
@@ -843,12 +686,13 @@ mod tests {
             b.advance(t);
             assert_eq!(a.offline(), b.offline());
             assert_eq!(a.media_error(), b.media_error());
+            assert_eq!(a.load_fails(), b.load_fails());
             assert_eq!(a.drive_outage(0, t), b.drive_outage(0, t));
+            assert_eq!(a.next_event(t), b.next_event(t));
         }
-        assert_eq!(
-            a.tape_downtime(SimTime::from_secs(200 * 37)),
-            b.tape_downtime(SimTime::from_secs(200 * 37))
-        );
+        let end = SimTime::from_secs(200 * 37);
+        assert_eq!(a.tape_downtime(end), b.tape_downtime(end));
+        assert_eq!(a.degraded_time(end), b.degraded_time(end));
     }
 
     #[test]
@@ -869,66 +713,6 @@ mod tests {
             }
         }
         assert!(outages > 100, "expected many outages, got {outages}");
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        let cfg = FaultConfig {
-            media_error_per_read: 0.05,
-            load_failure_p: 0.02,
-            tape_mtbf: Some(Micros::from_secs(500)),
-            tape_mttr: Some(Micros::from_secs(60)),
-            drive_mtbf: Some(Micros::from_secs(2_000)),
-            drive_mttr: Micros::from_secs(30),
-            ..FaultConfig::NONE
-        };
-        let mut live = FaultInjector::new(cfg, &geom(), 2, 99);
-        for step in 1..100u64 {
-            let t = SimTime::from_secs(step * 37);
-            live.advance(t);
-            let _ = live.media_error();
-            let _ = live.load_fails();
-            let _ = live.drive_outage(step as usize % 2, t);
-        }
-        live.mark_bad_copy(
-            PhysicalAddr {
-                tape: TapeId(1),
-                slot: SlotIndex(4),
-            },
-            SimTime::from_secs(99 * 37),
-        );
-        let snap = live.snapshot();
-        let mut resumed = FaultInjector::new(cfg, &geom(), 2, 99);
-        resumed.restore(&snap).unwrap();
-        assert_eq!(resumed.offline(), live.offline());
-        assert_eq!(resumed.snapshot(), snap);
-        // Every future draw and event agrees exactly.
-        for step in 100..200u64 {
-            let t = SimTime::from_secs(step * 37);
-            live.advance(t);
-            resumed.advance(t);
-            assert_eq!(live.offline(), resumed.offline());
-            assert_eq!(live.media_error(), resumed.media_error());
-            assert_eq!(live.load_fails(), resumed.load_fails());
-            assert_eq!(live.drive_outage(0, t), resumed.drive_outage(0, t));
-            assert_eq!(live.next_event(t), resumed.next_event(t));
-        }
-        let end = SimTime::from_secs(200 * 37);
-        assert_eq!(live.tape_downtime(end), resumed.tape_downtime(end));
-        assert_eq!(live.degraded_time(end), resumed.degraded_time(end));
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_geometry() {
-        let cfg = FaultConfig {
-            tape_mtbf: Some(Micros::from_secs(500)),
-            tape_mttr: Some(Micros::from_secs(60)),
-            ..FaultConfig::NONE
-        };
-        let live = FaultInjector::new(cfg, &geom(), 2, 1);
-        let snap = live.snapshot();
-        let mut wrong_drives = FaultInjector::new(cfg, &geom(), 3, 1);
-        assert!(wrong_drives.restore(&snap).is_err());
     }
 
     #[test]
@@ -959,37 +743,6 @@ mod tests {
         inj.advance(heal_at);
         assert!(!inj.copy_dead(addr), "healed at exactly the boundary");
         assert!(inj.next_event(heal_at).is_none());
-    }
-
-    #[test]
-    fn healing_state_round_trips_through_snapshot() {
-        let cfg = FaultConfig {
-            media_error_per_read: 0.05,
-            copy_heal_mttr: Some(Micros::from_secs(500)),
-            ..FaultConfig::NONE
-        };
-        let mut live = FaultInjector::new(cfg, &geom(), 1, 23);
-        let addr = PhysicalAddr {
-            tape: TapeId(2),
-            slot: SlotIndex(9),
-        };
-        live.mark_bad_copy(addr, SimTime::from_secs(50));
-        let snap = live.snapshot();
-        assert_eq!(snap.healing.len(), 1);
-        let mut resumed = FaultInjector::new(cfg, &geom(), 1, 23);
-        resumed.restore(&snap).unwrap();
-        assert!(resumed.copy_dead(addr));
-        assert_eq!(resumed.snapshot(), snap);
-        assert_eq!(
-            live.next_event(SimTime::from_secs(50)),
-            resumed.next_event(SimTime::from_secs(50))
-        );
-        // Both heal identically.
-        let heal_at = live.next_event(SimTime::from_secs(50)).unwrap();
-        live.advance(heal_at);
-        resumed.advance(heal_at);
-        assert!(!live.copy_dead(addr));
-        assert!(!resumed.copy_dead(addr));
     }
 
     #[test]

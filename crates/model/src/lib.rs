@@ -40,9 +40,7 @@ pub use drive::{
     DriveModel, LinearSegment, LocateDirection, LocateModel, ReadContext, ReadModel, RobotModel,
     TimingModel,
 };
-pub use faults::{
-    substream, DriveFaultSnapshot, FaultConfig, FaultInjector, FaultSnapshot, TapeFaultSnapshot,
-};
+pub use faults::{substream, FaultConfig, FaultInjector};
 pub use serpentine::{
     logical_sweep_order, nearest_neighbor_order, SerpentineGeometry, SerpentineModel, SerpentinePos,
 };

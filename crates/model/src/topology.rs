@@ -372,21 +372,6 @@ impl Topology {
         }
         Ok(())
     }
-
-    /// A short stable tag naming the fleet shape, mixed into run
-    /// fingerprints so checkpoints from different topologies never
-    /// cross-restore. Empty for legacy topologies, which keeps historical
-    /// fingerprints (and the golden checkpoint) unchanged.
-    pub fn fingerprint_tag(&self) -> String {
-        if self.is_legacy() {
-            return String::new();
-        }
-        let mut tag = String::from("fleet");
-        for lib in &self.libraries {
-            tag.push_str(&format!(":{}d{}r{}t", lib.drives, lib.robots, lib.tapes));
-        }
-        tag
-    }
 }
 
 #[cfg(test)]
@@ -402,7 +387,6 @@ mod tests {
         assert_eq!(t.total_robots(), 1);
         assert_eq!(t.total_tapes(), 10);
         assert_eq!(t.mount_penalty(1, TapeId(9)), Micros::ZERO);
-        assert_eq!(t.fingerprint_tag(), "");
         assert!(t.check_geometry(&JukeboxGeometry::PAPER_DEFAULT).is_ok());
     }
 
@@ -461,7 +445,10 @@ mod tests {
         )
         .unwrap();
         assert!(!t.is_legacy());
-        assert_eq!(t.fingerprint_tag(), "fleet:4d2r20t");
+        assert_eq!(
+            (t.total_drives(), t.total_robots(), t.total_tapes()),
+            (4, 2, 20)
+        );
     }
 
     #[test]
@@ -504,7 +491,12 @@ mod tests {
     fn geometry_roundtrip_tag() {
         let t = Topology::uniform(2, 2, 2, 5, RobotModel::exb210(), InterLibraryModel::DEFAULT)
             .unwrap();
-        assert_eq!(t.fingerprint_tag(), "fleet:2d2r5t:2d2r5t");
+        let shape: Vec<_> = t
+            .libraries()
+            .iter()
+            .map(|l| (l.drives, l.robots, l.tapes))
+            .collect();
+        assert_eq!(shape, [(2, 2, 5), (2, 2, 5)]);
         assert!(t.check_geometry(&JukeboxGeometry::PAPER_DEFAULT).is_ok());
     }
 }

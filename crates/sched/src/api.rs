@@ -173,11 +173,11 @@ impl ServiceList {
         ServiceList::default()
     }
 
-    /// Rebuilds a service list from explicit forward and reverse phases —
-    /// the checkpoint-restore counterpart of [`ServiceList::forward_stops`]
-    /// / [`ServiceList::reverse_stops`]. Errors (rather than panicking) if
-    /// the phases are not strictly ordered, since checkpoint data comes
-    /// from outside the process.
+    /// Builds a service list from explicit forward and reverse phases,
+    /// the counterpart of [`ServiceList::forward_stops`] /
+    /// [`ServiceList::reverse_stops`]. The sweep grouping in
+    /// [`crate::cost`] builds its plans with it. Errors (rather than
+    /// panicking) if the phases are not strictly ordered.
     pub fn from_parts(
         forward: Vec<ScheduledRead>,
         reverse: Vec<ScheduledRead>,
@@ -436,20 +436,15 @@ pub trait Scheduler {
         ArrivalOutcome::Deferred
     }
 
-    /// Serializes whatever internal state the incremental scheduler
-    /// carries across arrivals, for a checkpoint. Most algorithms are
-    /// stateless between calls (their plans are derived fresh from the
-    /// pending list) and return `None`, the default. The envelope
-    /// algorithm returns its per-tape envelope boundaries, which stay
-    /// live across a multi-drive sweep.
+    /// Inert: the simulator has no engine checkpoint, so nothing calls
+    /// this. It stays only because the out-of-workspace `tapebench`
+    /// package forwards it; the next benchmark change deletes both.
     fn checkpoint_state(&self) -> Option<String> {
         None
     }
 
-    /// Restores state produced by [`Scheduler::checkpoint_state`] on a
-    /// freshly constructed scheduler of the same algorithm. The default
-    /// errors: a checkpoint carrying state for a stateless scheduler can
-    /// only mean the configurations disagree.
+    /// Inert, like [`Scheduler::checkpoint_state`]: nothing calls it, and
+    /// it stays only for `tapebench`'s forwarding impl.
     fn restore_state(&mut self, _state: &str) -> Result<(), &'static str> {
         Err("this scheduler carries no checkpointable state")
     }

@@ -233,34 +233,6 @@ impl Scheduler for EnvelopeScheduler {
             ArrivalOutcome::Deferred
         }
     }
-
-    /// The per-tape envelope boundaries as a comma-separated list (empty
-    /// string before the first major reschedule).
-    fn checkpoint_state(&self) -> Option<String> {
-        let s = self
-            .env
-            .iter()
-            .map(u32::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        Some(s)
-    }
-
-    fn restore_state(&mut self, state: &str) -> Result<(), &'static str> {
-        if state.is_empty() {
-            self.env = Vec::new();
-            return Ok(());
-        }
-        let mut env = Vec::new();
-        for part in state.split(',') {
-            let v: u32 = part
-                .parse()
-                .map_err(|_| "malformed envelope boundary in checkpoint")?;
-            env.push(v);
-        }
-        self.env = env;
-        Ok(())
-    }
 }
 
 /// Cost of walking from the envelope boundary `start` through `slots`

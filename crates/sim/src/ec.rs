@@ -35,10 +35,9 @@
 //! at the logical level. Everything is deterministic: the factory's
 //! request stream, the engine's event order, and the `BTreeMap` joins.
 //!
-//! Checkpointing is structurally excluded (external-arrival mode refuses
-//! it), and the generated-arrival entry points refuse striped catalogs,
-//! so an erasure catalog cannot be run with cell-level request sampling
-//! by accident.
+//! The generated-arrival entry points refuse striped catalogs, so an
+//! erasure catalog cannot be run with cell-level request sampling by
+//! accident.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -103,8 +102,8 @@ pub fn run_erasure_simulation(
     let logical_bytes = catalog.logical_block_size().bytes();
     let warmup_end = SimTime::ZERO + cfg.warmup;
 
-    // The logical request stream is ours; the engine only fingerprints
-    // its copy (external mode never draws from it).
+    // The logical request stream is ours; the engine's copy is inert
+    // (external mode never reads it).
     let mut factory = RequestFactory::new(sampler.clone(), process, seed);
     let mut engine_factory = RequestFactory::new(sampler, process, seed);
     let mut sink = NullSink;

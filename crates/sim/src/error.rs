@@ -21,36 +21,11 @@ pub enum SimError {
     /// A per-seed simulation worker thread panicked; the payload is the
     /// panic message when one was available.
     WorkerPanicked(String),
-    /// A checkpoint file could not be read or written; the payload names
-    /// the path and the underlying I/O error.
-    CheckpointIo(String),
-    /// A checkpoint file was written by an incompatible schema version;
-    /// the payload carries the found and expected versions.
-    CheckpointVersion {
-        /// Schema version found in the file header.
-        found: u32,
-        /// Schema version this build writes and understands.
-        expected: u32,
-    },
-    /// A checkpoint file is structurally invalid: truncated (footer
-    /// missing or line count short), a malformed line, or a field out of
-    /// range. The payload describes what was wrong.
-    CheckpointCorrupt(String),
     /// The service admission queue is full and the admission policy
     /// rejects new work ([`crate::service::AdmissionPolicy::RejectNew`],
     /// or shed-oldest with nothing cancellable to shed). Typed
     /// backpressure: the caller should retry later or slow down.
     Overloaded,
-    /// A checkpoint was taken under a different simulation configuration
-    /// (engine, scheduler, workload, timing, geometry, fault plan, or
-    /// seed) than the one it is being resumed into. Resuming would not
-    /// reproduce the uninterrupted run, so it is refused.
-    CheckpointConfigMismatch {
-        /// Config fingerprint recorded in the checkpoint.
-        found: u64,
-        /// Config fingerprint of the resuming run.
-        expected: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -61,20 +36,9 @@ impl fmt::Display for SimError {
                 write!(f, "open-queuing arrivals requested from a closed workload")
             }
             SimError::WorkerPanicked(msg) => write!(f, "simulation worker panicked: {msg}"),
-            SimError::CheckpointIo(msg) => write!(f, "checkpoint i/o error: {msg}"),
-            SimError::CheckpointVersion { found, expected } => write!(
-                f,
-                "checkpoint schema version {found} is not the supported version {expected}"
-            ),
             SimError::Overloaded => {
                 write!(f, "admission queue full: request rejected (backpressure)")
             }
-            SimError::CheckpointCorrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
-            SimError::CheckpointConfigMismatch { found, expected } => write!(
-                f,
-                "checkpoint was taken under a different configuration \
-                 (fingerprint {found:#018x}, resuming run has {expected:#018x})"
-            ),
         }
     }
 }

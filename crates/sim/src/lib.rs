@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod ec;
 pub mod error;
 pub mod metrics;
@@ -31,24 +30,23 @@ pub mod stepped;
 pub mod trace;
 pub mod writeback;
 
-pub use checkpoint::{Checkpoint, CheckpointOpts, EngineKind};
 pub use ec::run_erasure_simulation;
 pub use error::SimError;
 pub use metrics::{DelayPercentiles, MetricsCollector, MetricsReport};
 pub use multidrive::{
-    run_fleet, run_fleet_traced, run_multi_drive, run_multi_drive_checkpointed,
-    run_multi_drive_traced, run_multi_drive_with_faults, SimConfig, SteppedMultiDrive,
+    run_fleet, run_fleet_traced, run_multi_drive, run_multi_drive_traced,
+    run_multi_drive_with_faults, SimConfig, SteppedMultiDrive,
 };
 pub use runner::{default_seeds, run_one, run_paired, run_seeds, run_seeds_pooled, RunSpec};
 pub use service::{
     AdmissionPolicy, JukeboxService, ServiceConfig, ServiceStats, Ticket, TicketState,
 };
-pub use stepped::{EngineEvent, StepOutcome};
+pub use stepped::{CheckpointOpts, EngineEvent, StepOutcome};
 pub use trace::{
     check_trace, JsonlSink, MemorySink, NullSink, RingSink, TraceEvent, TraceRecord, TraceSink,
     Tracer,
 };
 pub use writeback::{
-    run_with_writeback, run_with_writeback_checkpointed, run_with_writeback_traced, FlushPolicy,
-    SteppedWriteBack, WriteBackConfig, WriteBackReport,
+    run_with_writeback, run_with_writeback_traced, FlushPolicy, SteppedWriteBack, WriteBackConfig,
+    WriteBackReport,
 };

@@ -140,74 +140,9 @@ impl MetricsCollector {
 
     /// Records an admitted request withdrawn before service (external-
     /// arrival mode: a deadline expiry or a shed-oldest eviction). Counted
-    /// over the whole run; always zero for generated workloads, and never
-    /// part of a checkpoint (external mode cannot checkpoint).
+    /// over the whole run; always zero for generated workloads.
     pub fn record_cancellation(&mut self) {
         self.cancelled += 1;
-    }
-
-    /// Captures every accumulator for a checkpoint. Delay samples are
-    /// kept in insertion order (they are only sorted at report time), so
-    /// a restored collector is byte-for-byte the collector that was
-    /// snapshotted.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            window_start_us: self.window_start.as_micros(),
-            completed: self.completed,
-            bytes_delivered: self.bytes_delivered,
-            physical_reads: self.physical_reads,
-            tape_switches: self.tape_switches,
-            total_delay_us: self.total_delay.as_micros(),
-            max_delay_us: self.max_delay.as_micros(),
-            delays_us: self.delays.iter().map(|d| d.as_micros()).collect(),
-            time_locating_us: self.time_locating.as_micros(),
-            time_reading_us: self.time_reading.as_micros(),
-            time_switching_us: self.time_switching.as_micros(),
-            time_idle_us: self.time_idle.as_micros(),
-            time_repairing_us: self.time_repairing.as_micros(),
-            admitted: self.admitted,
-            served: self.served,
-            failed_requests: self.failed_requests,
-            replica_failovers: self.replica_failovers,
-        }
-    }
-
-    /// Rebuilds a collector from a [`MetricsCollector::snapshot`]. The
-    /// end-of-run fault accounting (media errors, downtime, degraded
-    /// time, unserved count) is not part of the snapshot: it is installed
-    /// by the engine at report time via
-    /// [`MetricsCollector::set_fault_accounting`].
-    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
-        MetricsCollector {
-            window_start: SimTime::from_micros(snap.window_start_us),
-            completed: snap.completed,
-            bytes_delivered: snap.bytes_delivered,
-            physical_reads: snap.physical_reads,
-            tape_switches: snap.tape_switches,
-            total_delay: Micros::from_micros(snap.total_delay_us),
-            max_delay: Micros::from_micros(snap.max_delay_us),
-            delays: snap
-                .delays_us
-                .iter()
-                .map(|&d| Micros::from_micros(d))
-                .collect(),
-            time_locating: Micros::from_micros(snap.time_locating_us),
-            time_reading: Micros::from_micros(snap.time_reading_us),
-            time_switching: Micros::from_micros(snap.time_switching_us),
-            time_idle: Micros::from_micros(snap.time_idle_us),
-            time_repairing: Micros::from_micros(snap.time_repairing_us),
-            admitted: snap.admitted,
-            served: snap.served,
-            failed_requests: snap.failed_requests,
-            replica_failovers: snap.replica_failovers,
-            media_errors: 0,
-            unserved: 0,
-            // Cancellations only happen in external-arrival mode, which
-            // cannot checkpoint, so a snapshot never carries any.
-            cancelled: 0,
-            tape_downtime: Vec::new(),
-            degraded: Micros::ZERO,
-        }
     }
 
     /// Installs the end-of-run availability accounting produced by the
@@ -307,48 +242,6 @@ fn frac(part: Micros, whole: Micros) -> f64 {
 fn nearest_rank(n: usize, p: f64) -> usize {
     let rank = (p * n as f64).ceil() as usize;
     rank.clamp(1, n) - 1
-}
-
-/// Serializable snapshot of a [`MetricsCollector`]'s accumulators, all in
-/// raw integer microseconds/counts so it round-trips exactly through a
-/// text checkpoint. Produced by [`MetricsCollector::snapshot`], consumed
-/// by [`MetricsCollector::from_snapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Start of the measurement window, in microseconds.
-    pub window_start_us: u64,
-    /// In-window completions so far.
-    pub completed: u64,
-    /// In-window bytes delivered.
-    pub bytes_delivered: u64,
-    /// In-window physical reads.
-    pub physical_reads: u64,
-    /// In-window tape switches.
-    pub tape_switches: u64,
-    /// Sum of in-window delays, in microseconds.
-    pub total_delay_us: u64,
-    /// Largest in-window delay, in microseconds.
-    pub max_delay_us: u64,
-    /// Every in-window delay sample, in insertion (completion) order.
-    pub delays_us: Vec<u64>,
-    /// Drive time attributed to locating, in microseconds.
-    pub time_locating_us: u64,
-    /// Drive time attributed to reading, in microseconds.
-    pub time_reading_us: u64,
-    /// Drive time attributed to rewind/switch, in microseconds.
-    pub time_switching_us: u64,
-    /// Idle time, in microseconds.
-    pub time_idle_us: u64,
-    /// Drive repair downtime, in microseconds.
-    pub time_repairing_us: u64,
-    /// Requests admitted over the whole run so far.
-    pub admitted: u64,
-    /// Requests served over the whole run so far.
-    pub served: u64,
-    /// Requests permanently failed so far.
-    pub failed_requests: u64,
-    /// Replica failovers so far.
-    pub replica_failovers: u64,
 }
 
 /// Summary statistics of one simulation run.
@@ -649,30 +542,6 @@ mod tests {
         // The pooled path shares the helper and must agree.
         let pooled = r.pooled_percentiles();
         assert_eq!(pooled.p50, 5.0);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_reproduces_the_exact_report() {
-        let mut m = MetricsCollector::new(SimTime::from_secs(10));
-        for i in 0..50u64 {
-            m.record_admission();
-            m.record_completion(
-                SimTime::from_secs(i),
-                SimTime::from_secs(2 * i + 11),
-                1 << 20,
-            );
-            m.record_physical_read(SimTime::from_secs(2 * i + 11));
-        }
-        m.record_tape_switch(SimTime::from_secs(60));
-        m.add_locate_time(SimTime::from_secs(60), Micros::from_secs(3));
-        m.add_idle_time(SimTime::from_secs(70), Micros::from_secs(2));
-        m.record_replica_failover();
-        let snap = m.snapshot();
-        let restored = MetricsCollector::from_snapshot(&snap);
-        assert_eq!(restored.snapshot(), snap);
-        let a = m.report(Micros::from_secs(100), false);
-        let b = restored.report(Micros::from_secs(100), false);
-        assert_eq!(a, b);
     }
 
     #[test]

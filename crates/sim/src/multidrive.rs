@@ -75,12 +75,9 @@ use tapesim_model::{
 use tapesim_sched::{FleetView, JukeboxView, PendingList, Scheduler, SweepPlan};
 use tapesim_workload::{ArrivalProcess, Request, RequestFactory, RequestId};
 
-use crate::checkpoint::{
-    self, Checkpoint, CheckpointOpts, DriveCheckpoint, EngineKind, MultiCheckpoint,
-};
 use crate::error::SimError;
 use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::stepped::{EngineEvent, StepOutcome};
+use crate::stepped::{CheckpointOpts, EngineEvent, StepOutcome};
 use crate::trace::{NullSink, TraceEvent, TraceSink, Tracer, SYSTEM_DRIVE};
 use crate::trace_event;
 
@@ -225,6 +222,9 @@ pub fn run_multi_drive_with_faults(
 /// Runs a multi-drive jukebox while recording every event into `sink`
 /// (see [`crate::trace`]). With a [`NullSink`] this is exactly
 /// [`run_multi_drive_with_faults`].
+///
+/// This is a thin driver over [`SteppedMultiDrive`]: construct, step to
+/// completion, report.
 #[expect(
     clippy::too_many_arguments,
     reason = "each argument is one independent run input"
@@ -240,7 +240,7 @@ pub fn run_multi_drive_traced(
     fault_seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<MetricsReport, SimError> {
-    run_multi_drive_checkpointed(
+    let mut engine = SteppedMultiDrive::new(
         catalog,
         timing,
         scheduler,
@@ -251,35 +251,6 @@ pub fn run_multi_drive_traced(
         fault_seed,
         sink,
         &CheckpointOpts::none(),
-    )
-}
-
-/// [`run_multi_drive_traced`] with checkpoint/resume support (see
-/// [`crate::checkpoint`]). With [`CheckpointOpts::none`] this is exactly
-/// [`run_multi_drive_traced`]. Checkpoints are taken at drive-dispatch
-/// boundaries; in-flight sweep plans are part of the checkpoint, so a
-/// resumed run replays the interrupted sweeps stop for stop.
-///
-/// This is a thin driver over [`SteppedMultiDrive`]: construct, step to
-/// completion, report.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is one independent run input"
-)]
-pub fn run_multi_drive_checkpointed(
-    catalog: &Catalog,
-    timing: &TimingModel,
-    scheduler: &mut dyn Scheduler,
-    factory: &mut RequestFactory,
-    cfg: &SimConfig,
-    drives: u16,
-    faults: &FaultConfig,
-    fault_seed: u64,
-    sink: &mut dyn TraceSink,
-    opts: &CheckpointOpts,
-) -> Result<MetricsReport, SimError> {
-    let mut engine = SteppedMultiDrive::new(
-        catalog, timing, scheduler, factory, cfg, drives, faults, fault_seed, sink, opts,
     )?;
     while engine.step()? == StepOutcome::Running {}
     Ok(engine.finish())
@@ -334,16 +305,7 @@ pub fn run_fleet_traced(
     sink: &mut dyn TraceSink,
 ) -> Result<MetricsReport, SimError> {
     let mut engine = SteppedMultiDrive::new_with_topology(
-        catalog,
-        timing,
-        topology,
-        scheduler,
-        factory,
-        cfg,
-        faults,
-        fault_seed,
-        sink,
-        &CheckpointOpts::none(),
+        catalog, timing, topology, scheduler, factory, cfg, faults, fault_seed, sink,
     )?;
     while engine.step()? == StepOutcome::Running {}
     Ok(engine.finish())
@@ -360,8 +322,6 @@ pub struct SteppedMultiDrive<'a> {
     factory: &'a mut RequestFactory,
     cfg: SimConfig,
     faults: FaultConfig,
-    opts: CheckpointOpts,
-    fp: u64,
     tracer: Tracer<'a>,
     injector: FaultInjector,
     block: BlockSize,
@@ -395,7 +355,6 @@ pub struct SteppedMultiDrive<'a> {
     states: Vec<DriveState>,
     now: SimTime,
     next_arrival: Option<SimTime>,
-    next_ckpt_at: Option<SimTime>,
     // Scratch buffers for the offline/held-tape snapshots handed to
     // scheduler views; refilled per event instead of allocating each
     // time.
@@ -416,8 +375,9 @@ pub struct SteppedMultiDrive<'a> {
 
 impl<'a> SteppedMultiDrive<'a> {
     /// Builds a stepped multi-drive engine whose generated workload,
-    /// fault schedule, tracing, and checkpointing exactly match
-    /// [`run_multi_drive_checkpointed`] with the same arguments.
+    /// fault schedule, and tracing exactly match
+    /// [`run_multi_drive_traced`] with the same arguments. The last
+    /// parameter is ignored (see [`CheckpointOpts`]).
     #[expect(
         clippy::too_many_arguments,
         reason = "each argument is one independent run input"
@@ -432,11 +392,10 @@ impl<'a> SteppedMultiDrive<'a> {
         faults: &FaultConfig,
         fault_seed: u64,
         sink: &'a mut dyn TraceSink,
-        opts: &CheckpointOpts,
+        _inert: &CheckpointOpts,
     ) -> Result<Self, SimError> {
         Self::build(
-            catalog, timing, scheduler, factory, cfg, drives, faults, fault_seed, sink, opts,
-            false, None,
+            catalog, timing, scheduler, factory, cfg, drives, faults, fault_seed, sink, false, None,
         )
     }
 
@@ -461,7 +420,6 @@ impl<'a> SteppedMultiDrive<'a> {
         faults: &FaultConfig,
         fault_seed: u64,
         sink: &'a mut dyn TraceSink,
-        opts: &CheckpointOpts,
     ) -> Result<Self, SimError> {
         let drives = topology.total_drives();
         Self::build(
@@ -474,14 +432,14 @@ impl<'a> SteppedMultiDrive<'a> {
             faults,
             fault_seed,
             sink,
-            opts,
             false,
             Some(topology),
         )
     }
 
     /// [`SteppedMultiDrive::new_with_topology`] in external-arrival mode
-    /// (see [`SteppedMultiDrive::new_external`]).
+    /// (see [`SteppedMultiDrive::new_external`]). As there, `factory` is
+    /// inert and stays only for `tapebench`.
     #[expect(
         clippy::too_many_arguments,
         reason = "each argument is one independent run input"
@@ -508,17 +466,19 @@ impl<'a> SteppedMultiDrive<'a> {
             faults,
             fault_seed,
             sink,
-            &CheckpointOpts::none(),
             true,
             Some(topology),
         )
     }
 
     /// Builds a stepped multi-drive engine in external-arrival mode: no
-    /// workload is generated (the factory is only fingerprinted),
-    /// requests enter via [`submit_at`](SteppedMultiDrive::submit_at),
-    /// and completions/failures surface as [`EngineEvent`]s.
-    /// Checkpointing is not supported in this mode.
+    /// workload is generated, requests enter via
+    /// [`submit_at`](SteppedMultiDrive::submit_at), and
+    /// completions/failures surface as [`EngineEvent`]s.
+    ///
+    /// `factory` is inert in this mode: the engine never reads it. It
+    /// stays in the signature only because the out-of-workspace
+    /// `tapebench` package passes one; the next benchmark change drops it.
     #[expect(
         clippy::too_many_arguments,
         reason = "each argument is one independent run input"
@@ -535,18 +495,7 @@ impl<'a> SteppedMultiDrive<'a> {
         sink: &'a mut dyn TraceSink,
     ) -> Result<Self, SimError> {
         Self::build(
-            catalog,
-            timing,
-            scheduler,
-            factory,
-            cfg,
-            drives,
-            faults,
-            fault_seed,
-            sink,
-            &CheckpointOpts::none(),
-            true,
-            None,
+            catalog, timing, scheduler, factory, cfg, drives, faults, fault_seed, sink, true, None,
         )
     }
 
@@ -564,7 +513,6 @@ impl<'a> SteppedMultiDrive<'a> {
         faults: &FaultConfig,
         fault_seed: u64,
         sink: &'a mut dyn TraceSink,
-        opts: &CheckpointOpts,
         external: bool,
         topology: Option<Topology>,
     ) -> Result<Self, SimError> {
@@ -588,12 +536,6 @@ impl<'a> SteppedMultiDrive<'a> {
             ));
         }
         faults.validate().map_err(SimError::InvalidConfig)?;
-        opts.validate()?;
-        if external && (opts.resume().is_some() || opts.write_every().is_some()) {
-            return Err(SimError::InvalidConfig(
-                "checkpointing requires generated arrivals",
-            ));
-        }
         let topology = match topology {
             Some(t) => {
                 t.check_geometry(&catalog.geometry()).map_err(|_| {
@@ -608,45 +550,6 @@ impl<'a> SteppedMultiDrive<'a> {
             }
             None => Topology::single(drives, catalog.geometry().tapes, timing.robot),
         };
-        // The fleet tag is empty for legacy topologies, so historical
-        // fingerprints (and the golden checkpoint) are unchanged.
-        let topo_tag = topology.fingerprint_tag();
-        let extra = if external {
-            format!("external{topo_tag}")
-        } else {
-            topo_tag
-        };
-        let fp = checkpoint::run_fingerprint(
-            EngineKind::Multi,
-            catalog,
-            timing,
-            scheduler.name(),
-            &factory.config_tag(),
-            &format!("{cfg:?}"),
-            &format!("{faults:?}"),
-            fault_seed,
-            drives,
-            &extra,
-        );
-        let resumed = match opts.resume() {
-            Some(path) => {
-                let ckpt = checkpoint::load(path)?;
-                if ckpt.fingerprint != fp {
-                    return Err(SimError::CheckpointConfigMismatch {
-                        found: ckpt.fingerprint,
-                        expected: fp,
-                    });
-                }
-                Some(ckpt)
-            }
-            None => None,
-        };
-        let tracer = match &resumed {
-            Some(ckpt) => Tracer::with_seq(sink, ckpt.trace_seq),
-            None => Tracer::new(sink),
-        };
-        let mut injector =
-            FaultInjector::new(*faults, &catalog.geometry(), drives as usize, fault_seed);
         let block = catalog.block_size();
         let block_bytes = block.bytes();
         let end = SimTime::ZERO + cfg.duration;
@@ -688,9 +591,7 @@ impl<'a> SteppedMultiDrive<'a> {
             factory,
             cfg: *cfg,
             faults: *faults,
-            opts: opts.clone(),
-            fp,
-            tracer,
+            tracer: Tracer::new(sink),
             injector: FaultInjector::new(*faults, &catalog.geometry(), drives as usize, fault_seed),
             block,
             block_bytes,
@@ -712,7 +613,6 @@ impl<'a> SteppedMultiDrive<'a> {
             states,
             now: SimTime::ZERO,
             next_arrival: None,
-            next_ckpt_at: None,
             offline_buf: Vec::new(),
             unavailable_buf: Vec::new(),
             park: end,
@@ -723,9 +623,8 @@ impl<'a> SteppedMultiDrive<'a> {
             events: Vec::new(),
         };
 
-        // Seed the workload (skipped on resume: the factory is replayed
-        // to its checkpointed stream position below instead).
-        if resumed.is_none() && !external {
+        // Seed the workload.
+        if !external {
             match engine.factory.process() {
                 ArrivalProcess::Closed { queue_length } => {
                     for _ in 0..queue_length {
@@ -753,87 +652,6 @@ impl<'a> SteppedMultiDrive<'a> {
             }
         }
 
-        if let Some(ckpt) = &resumed {
-            engine
-                .factory
-                .replay(ckpt.factory_makes, ckpt.factory_gaps)
-                .map_err(|m| SimError::CheckpointCorrupt(m.to_string()))?;
-            if engine.factory.stream_fingerprint() != ckpt.factory_fp {
-                return Err(SimError::CheckpointConfigMismatch {
-                    found: ckpt.factory_fp,
-                    expected: engine.factory.stream_fingerprint(),
-                });
-            }
-            if let Some(snap) = &ckpt.faults {
-                injector
-                    .restore(snap)
-                    .map_err(|m| SimError::CheckpointCorrupt(m.to_string()))?;
-            }
-            engine.injector = injector;
-            if let Some(state) = &ckpt.sched_state {
-                engine
-                    .scheduler
-                    .restore_state(state)
-                    .map_err(|m| SimError::CheckpointCorrupt(m.to_string()))?;
-            }
-            if ckpt.drives.len() != drives as usize {
-                return Err(SimError::CheckpointCorrupt(
-                    "checkpoint drive count does not match the configuration".into(),
-                ));
-            }
-            let mc = ckpt.multi.as_ref().ok_or_else(|| {
-                SimError::CheckpointCorrupt("multi-drive checkpoint has no multi line".into())
-            })?;
-            engine.now = SimTime::from_micros(ckpt.now_us);
-            engine.next_arrival = ckpt.next_arrival_us.map(SimTime::from_micros);
-            for req in ckpt.pending.iter() {
-                engine.pending.push(*req);
-            }
-            engine.metrics = MetricsCollector::from_snapshot(&ckpt.metrics);
-            engine.faulted = ckpt
-                .faulted
-                .iter()
-                .map(|&(r, t)| (RequestId(r), TapeId(t)))
-                .collect();
-            engine.states = ckpt
-                .drives
-                .iter()
-                .map(|dc| DriveState {
-                    mounted: dc.mounted,
-                    head: dc.head,
-                    plan: dc.plan.clone(),
-                    cur_phase: dc.cur_phase,
-                    free_at: SimTime::from_micros(dc.free_at_us),
-                    idle: dc.idle,
-                })
-                .collect();
-            engine.seq = mc.seq;
-            if engine.fleet {
-                if mc.robots_free_us.len() != engine.robots_free.len() {
-                    return Err(SimError::CheckpointCorrupt(
-                        "checkpoint robot count does not match the topology".into(),
-                    ));
-                }
-                for (slot, &us) in engine.robots_free.iter_mut().zip(mc.robots_free_us.iter()) {
-                    *slot = SimTime::from_micros(us);
-                }
-            } else if let Some(slot) = engine.robots_free.first_mut() {
-                *slot = SimTime::from_micros(mc.robot_free_us);
-            }
-            for &(at, qseq, req) in mc.queued.iter() {
-                engine.queued.push(Reverse(QueuedArrival {
-                    at: SimTime::from_micros(at),
-                    seq: qseq,
-                    req,
-                }));
-            }
-        }
-        // First periodic-checkpoint instant strictly after the current
-        // clock.
-        engine.next_ckpt_at = engine
-            .opts
-            .write_every()
-            .map(|(every, _)| checkpoint::next_checkpoint_after(engine.now, every));
         Ok(engine)
     }
 
@@ -1122,58 +940,6 @@ impl<'a> SteppedMultiDrive<'a> {
         reason = "kept statement for statement as the loop it was translated from"
     )]
     fn step_drive(&mut self, d: usize) -> Result<(), SimError> {
-        // Checkpoint before this iteration mutates anything (the clock
-        // update below is re-derived identically on resume).
-        if let (Some(at), Some((every, path))) = (self.next_ckpt_at, self.opts.write_every()) {
-            if self.now >= at {
-                let mut arrivals: Vec<QueuedArrival> =
-                    self.queued.iter().map(|Reverse(q)| *q).collect();
-                arrivals.sort_unstable();
-                let ckpt = Checkpoint {
-                    engine: EngineKind::Multi,
-                    fingerprint: self.fp,
-                    now_us: self.now.as_micros(),
-                    trace_seq: self.tracer.next_seq(),
-                    next_arrival_us: self.next_arrival.map(|t| t.as_micros()),
-                    factory_makes: self.factory.minted(),
-                    factory_gaps: self.factory.gaps_drawn(),
-                    factory_fp: self.factory.stream_fingerprint(),
-                    pending: self.pending.iter().cloned().collect(),
-                    metrics: self.metrics.snapshot(),
-                    faulted: self.faulted.iter().map(|(r, t)| (r.0, t.0)).collect(),
-                    sched_state: self.scheduler.checkpoint_state(),
-                    faults: (self.faults != FaultConfig::NONE).then(|| self.injector.snapshot()),
-                    drives: self
-                        .states
-                        .iter()
-                        .map(|s| DriveCheckpoint {
-                            mounted: s.mounted,
-                            head: s.head,
-                            plan: s.plan.clone(),
-                            cur_phase: s.cur_phase,
-                            free_at_us: s.free_at.as_micros(),
-                            idle: s.idle,
-                        })
-                        .collect(),
-                    multi: Some(MultiCheckpoint {
-                        seq: self.seq,
-                        robot_free_us: self.robots_free.first().map_or(0, |t| t.as_micros()),
-                        robots_free_us: if self.fleet {
-                            self.robots_free.iter().map(|t| t.as_micros()).collect()
-                        } else {
-                            Vec::new()
-                        },
-                        queued: arrivals
-                            .iter()
-                            .map(|q| (q.at.as_micros(), q.seq, q.req))
-                            .collect(),
-                    }),
-                    writeback: None,
-                };
-                checkpoint::save(&ckpt, path)?;
-                self.next_ckpt_at = Some(checkpoint::next_checkpoint_after(self.now, every));
-            }
-        }
         self.now = self.states[d].free_at.max(self.now);
         self.states[d].idle = false;
         if self.now >= self.end {

@@ -30,6 +30,22 @@ pub enum StepOutcome {
     Done,
 }
 
+/// Inert: the engines have no checkpoint, and this empty type carries
+/// nothing. It stays only because the out-of-workspace `tapebench`
+/// package passes `&CheckpointOpts::none()` as the last argument of
+/// [`SteppedMultiDrive::new`](crate::SteppedMultiDrive::new) and
+/// [`SteppedWriteBack::new`](crate::SteppedWriteBack::new), which ignore
+/// it. The next benchmark change deletes the type and both parameters.
+#[derive(Debug)]
+pub struct CheckpointOpts;
+
+impl CheckpointOpts {
+    /// The only value.
+    pub fn none() -> Self {
+        CheckpointOpts
+    }
+}
+
 /// An externally observable request outcome, produced by a stepped core
 /// running in external-arrival mode and drained by the caller between
 /// steps (batch runs never produce these).

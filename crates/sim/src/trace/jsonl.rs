@@ -21,10 +21,6 @@
 //! serialized traces is equivalent to structural comparison — but
 //! [`compare`] still parses both sides so a mismatch can be reported
 //! field-by-field.
-#![expect(
-    clippy::cast_possible_truncation,
-    reason = "trace fields are re-narrowed to the widths they were written with"
-)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -187,12 +183,12 @@ impl std::fmt::Display for ParseError {
 }
 
 /// Parses one flat JSON object (quoted keys, integer / string / boolean
-/// values, no nesting) into its fields. Shared by the trace and
-/// checkpoint parsers. Values keep their textual form (`"forward"` keeps
-/// its quotes stripped; numbers and booleans stay as written). An empty
-/// bare value is an error; an empty quoted value `""` is accepted, and a
-/// caller whose schema has no empty strings rejects it itself.
-pub(crate) fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
+/// values, no nesting) into its fields. Values keep their textual form
+/// (`"forward"` keeps its quotes stripped; numbers and booleans stay as
+/// written). An empty bare value is an error; an empty quoted value `""`
+/// is accepted, and a caller whose schema has no empty strings rejects
+/// it itself.
+fn parse_flat_object(line: &str) -> Result<BTreeMap<String, String>, String> {
     let body = line
         .trim()
         .strip_prefix('{')
@@ -280,8 +276,16 @@ fn record_from_fields(m: &BTreeMap<String, String>) -> Result<TraceRecord, Strin
             .parse::<u64>()
             .map_err(|_| format!("field '{key}' is not an integer"))
     };
-    let tape = |key: &str| -> Result<TapeId, String> { Ok(TapeId(int(key)? as u16)) };
-    let slot = |key: &str| -> Result<SlotIndex, String> { Ok(SlotIndex(int(key)? as u32)) };
+    // Narrow fields back to the widths they were written with; a value
+    // that does not fit is an error, never a silently different record.
+    let int16 = |key: &str| -> Result<u16, String> {
+        u16::try_from(int(key)?).map_err(|_| format!("field '{key}' does not fit in 16 bits"))
+    };
+    let int32 = |key: &str| -> Result<u32, String> {
+        u32::try_from(int(key)?).map_err(|_| format!("field '{key}' does not fit in 32 bits"))
+    };
+    let tape = |key: &str| -> Result<TapeId, String> { Ok(TapeId(int16(key)?)) };
+    let slot = |key: &str| -> Result<SlotIndex, String> { Ok(SlotIndex(int32(key)?)) };
     let req = || -> Result<RequestId, String> { Ok(RequestId(int("req")?)) };
     let dur = |key: &str| -> Result<Micros, String> { Ok(Micros::from_micros(int(key)?)) };
     let boolean = |key: &str| -> Result<bool, String> {
@@ -302,7 +306,7 @@ fn record_from_fields(m: &BTreeMap<String, String>) -> Result<TraceRecord, Strin
     let event = match ev {
         "arrival" => TraceEvent::Arrival {
             req: req()?,
-            block: BlockId(int("block")? as u32),
+            block: BlockId(int32("block")?),
         },
         "incremental" => TraceEvent::Incremental {
             req: req()?,
@@ -311,8 +315,8 @@ fn record_from_fields(m: &BTreeMap<String, String>) -> Result<TraceRecord, Strin
         },
         "sweep_start" => TraceEvent::SweepStart {
             tape: tape("tape")?,
-            stops: int("stops")? as u32,
-            requests: int("reqs")? as u32,
+            stops: int32("stops")?,
+            requests: int32("reqs")?,
         },
         "phase_start" => TraceEvent::PhaseStart {
             tape: tape("tape")?,
@@ -378,17 +382,17 @@ fn record_from_fields(m: &BTreeMap<String, String>) -> Result<TraceRecord, Strin
             to: tape("to_tape")?,
         },
         "robot_busy" => TraceEvent::RobotBusy {
-            robot: int("robot")? as u16,
+            robot: int16("robot")?,
             dur: dur("dur_us")?,
         },
         "robot_exchange" => TraceEvent::RobotExchange {
-            robot: int("robot")? as u16,
+            robot: int16("robot")?,
             tape: tape("tape")?,
             dur: dur("dur_us")?,
         },
         "delta_flush" => TraceEvent::DeltaFlush {
             tape: tape("tape")?,
-            blocks: int("blocks")? as u32,
+            blocks: int32("blocks")?,
             piggyback: boolean("piggyback")?,
         },
         other => return Err(format!("unknown event kind '{other}'")),
@@ -396,7 +400,7 @@ fn record_from_fields(m: &BTreeMap<String, String>) -> Result<TraceRecord, Strin
     Ok(TraceRecord {
         seq: int("seq")?,
         at: SimTime::from_micros(int("t_us")?),
-        drive: int("drive")? as u16,
+        drive: int16("drive")?,
         event,
     })
 }
@@ -680,5 +684,24 @@ mod tests {
         assert!(err.to_string().contains("ev"));
         let err = parse("{\"seq\":1,\"t_us\":2,\"drive\":0,\"ev\":\"\"}").unwrap_err();
         assert!(err.to_string().contains("empty value for key 'ev'"));
+        // Values wider than the field they were written from are errors,
+        // not silently truncated records.
+        let wide = "{\"seq\":0,\"t_us\":5,\"drive\":65536,\"ev\":\"incremental\",\"req\":1,\
+                    \"tape\":65537,\"inserted\":true}";
+        assert!(parse_records(wide).is_err());
+        let drive = wide.replace("65537", "1");
+        let err = parse_records(&drive).unwrap_err();
+        assert!(err.to_string().contains("'drive'"), "{err}");
+        let slot = "{\"seq\":0,\"t_us\":5,\"drive\":0,\"ev\":\"media_error\",\"tape\":1,\
+                    \"slot\":4294967296}";
+        let err = parse_records(slot).unwrap_err();
+        assert!(err.to_string().contains("'slot'"), "{err}");
+        // The system drive, u16::MAX, is in range.
+        let system = "{\"seq\":0,\"t_us\":0,\"drive\":65535,\"ev\":\"arrival\",\"req\":0,\
+                      \"block\":74}";
+        assert_eq!(
+            parse_records(system).unwrap()[0].drive,
+            super::super::SYSTEM_DRIVE
+        );
     }
 }

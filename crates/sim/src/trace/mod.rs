@@ -302,21 +302,6 @@ impl<'a> Tracer<'a> {
         Tracer { sink, on, seq: 0 }
     }
 
-    /// Wraps a sink for a run resumed from a checkpoint: the first record
-    /// emitted carries sequence number `seq`, continuing the numbering of
-    /// the interrupted run so the resumed trace suffix is byte-identical
-    /// to the uninterrupted one.
-    pub fn with_seq(sink: &'a mut dyn TraceSink, seq: u64) -> Self {
-        let on = sink.enabled();
-        Tracer { sink, on, seq }
-    }
-
-    /// The sequence number the next emitted record will carry (equal to
-    /// the number of records emitted so far in an unresumed run).
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Records one event. Callers should guard with `self.on` (or use the
     /// `trace_event!` macro) so payload construction is skipped when
     /// tracing is off.

@@ -44,13 +44,10 @@ use tapesim_model::{
 use tapesim_sched::{JukeboxView, PendingList, Scheduler, SweepPlan};
 use tapesim_workload::RequestFactory;
 
-use crate::checkpoint::{
-    self, Checkpoint, CheckpointOpts, DriveCheckpoint, EngineKind, WriteBackCheckpoint,
-};
 use crate::error::SimError;
 use crate::metrics::{MetricsCollector, MetricsReport};
 use crate::multidrive::SimConfig;
-use crate::stepped::StepOutcome;
+use crate::stepped::{CheckpointOpts, StepOutcome};
 use crate::trace::{NullSink, TraceEvent, TraceSink, Tracer, SYSTEM_DRIVE};
 use crate::trace_event;
 
@@ -154,7 +151,7 @@ pub fn run_with_writeback_traced(
     write_seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<WriteBackReport, SimError> {
-    run_with_writeback_checkpointed(
+    let mut engine = SteppedWriteBack::new(
         catalog,
         timing,
         scheduler,
@@ -164,37 +161,6 @@ pub fn run_with_writeback_traced(
         write_seed,
         sink,
         &CheckpointOpts::none(),
-    )
-}
-
-/// [`run_with_writeback_traced`] with checkpoint/resume support (see
-/// [`crate::checkpoint`]). With [`CheckpointOpts::none`] this is exactly
-/// [`run_with_writeback_traced`]. The delta buffer and the write
-/// stream's RNG are part of the checkpoint, so a resumed run destages
-/// the same deltas at the same instants.
-///
-/// # Errors
-/// Same as [`run_with_writeback`], plus the checkpoint errors of
-/// [`crate::checkpoint::load`] and
-/// [`SimError::CheckpointConfigMismatch`] when resuming into a different
-/// configuration.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is one independent run input"
-)]
-pub fn run_with_writeback_checkpointed(
-    catalog: &Catalog,
-    timing: &TimingModel,
-    scheduler: &mut dyn Scheduler,
-    factory: &mut RequestFactory,
-    cfg: &SimConfig,
-    wb: &WriteBackConfig,
-    write_seed: u64,
-    sink: &mut dyn TraceSink,
-    opts: &CheckpointOpts,
-) -> Result<WriteBackReport, SimError> {
-    let mut engine = SteppedWriteBack::new(
-        catalog, timing, scheduler, factory, cfg, wb, write_seed, sink, opts,
     )?;
     while engine.step()? == StepOutcome::Running {}
     Ok(engine.finish())
@@ -218,8 +184,6 @@ pub struct SteppedWriteBack<'a> {
     factory: &'a mut RequestFactory,
     cfg: SimConfig,
     wb: WriteBackConfig,
-    opts: CheckpointOpts,
-    fp: u64,
     tracer: Tracer<'a>,
     block: tapesim_model::BlockSize,
     block_bytes: u64,
@@ -241,7 +205,6 @@ pub struct SteppedWriteBack<'a> {
     piggyback_flushes: u64,
     idle_flushes: u64,
     stranded: u64,
-    next_ckpt_at: Option<SimTime>,
     /// How far an idle drive may advance when nothing is schedulable.
     /// Batch drivers leave this at the horizon (reproducing the
     /// monolithic loop exactly); [`SteppedWriteBack::step_until`] lowers
@@ -252,11 +215,12 @@ pub struct SteppedWriteBack<'a> {
 
 impl<'a> SteppedWriteBack<'a> {
     /// Builds a stepped write-back engine whose workload, destage
-    /// schedule, tracing, and checkpointing exactly match
-    /// [`run_with_writeback_checkpointed`] with the same arguments.
+    /// schedule, and tracing exactly match [`run_with_writeback_traced`]
+    /// with the same arguments. The last parameter is ignored (see
+    /// [`CheckpointOpts`]).
     ///
     /// # Errors
-    /// Same as [`run_with_writeback_checkpointed`].
+    /// Same as [`run_with_writeback`].
     #[expect(
         clippy::too_many_arguments,
         reason = "each argument is one independent run input"
@@ -270,44 +234,14 @@ impl<'a> SteppedWriteBack<'a> {
         wb: &WriteBackConfig,
         write_seed: u64,
         sink: &'a mut dyn TraceSink,
-        opts: &CheckpointOpts,
+        _inert: &CheckpointOpts,
     ) -> Result<Self, SimError> {
         if cfg.warmup >= cfg.duration {
             return Err(SimError::InvalidConfig("warmup must precede the horizon"));
         }
-        opts.validate()?;
-        let fp = checkpoint::run_fingerprint(
-            EngineKind::WriteBack,
-            catalog,
-            timing,
-            scheduler.name(),
-            &factory.config_tag(),
-            &format!("{cfg:?}"),
-            "",
-            write_seed,
-            1,
-            &format!("{wb:?}"),
-        );
-        let resumed = match opts.resume() {
-            Some(path) => {
-                let ckpt = checkpoint::load(path)?;
-                if ckpt.fingerprint != fp {
-                    return Err(SimError::CheckpointConfigMismatch {
-                        found: ckpt.fingerprint,
-                        expected: fp,
-                    });
-                }
-                Some(ckpt)
-            }
-            None => None,
-        };
         // Probe the arrival stream first (this consumes one interarrival
-        // draw, matching the stream position of earlier releases). On
-        // resume the factory is replayed past this draw instead.
-        if resumed.is_none()
-            && factory.next_interarrival().is_none()
-            && factory.process().initial_requests() != 0
-        {
+        // draw, matching the stream position of earlier releases).
+        if factory.next_interarrival().is_none() && factory.process().initial_requests() != 0 {
             return Err(SimError::ClosedArrivalStream);
         }
         let block = catalog.block_size();
@@ -330,87 +264,11 @@ impl<'a> SteppedWriteBack<'a> {
 
         // Deterministic write stream, independent of the read stream.
         let mut wrng = WriteStream::new(wb.write_mean_interarrival, tapes, write_seed);
-        let mut next_write = if resumed.is_none() {
-            Some(SimTime::ZERO + wrng.next_gap())
-        } else {
-            None
-        };
-
-        let tracer = match &resumed {
-            Some(ckpt) => Tracer::with_seq(sink, ckpt.trace_seq),
-            None => Tracer::new(sink),
-        };
-        let mut now = SimTime::ZERO;
-        let mut mounted: Option<TapeId> = None;
-        let mut head = SlotIndex::BOT;
-        let mut pending = PendingList::new();
-        let mut metrics = MetricsCollector::new(warmup_end);
-        let mut buffer: VecDeque<Delta> = VecDeque::new();
-        let mut next_arrival = if resumed.is_none() {
-            let gap = factory
-                .next_interarrival()
-                .ok_or(SimError::ClosedArrivalStream)?;
-            Some(SimTime::ZERO + gap)
-        } else {
-            None
-        };
-
-        let mut deltas_flushed = 0u64;
-        let mut peak_buffer = 0u64;
-        let mut total_age = Micros::ZERO;
-        let mut piggyback_flushes = 0u64;
-        let mut idle_flushes = 0u64;
-
-        if let Some(ckpt) = &resumed {
-            factory
-                .replay(ckpt.factory_makes, ckpt.factory_gaps)
-                .map_err(|m| SimError::CheckpointCorrupt(m.to_string()))?;
-            if factory.stream_fingerprint() != ckpt.factory_fp {
-                return Err(SimError::CheckpointConfigMismatch {
-                    found: ckpt.factory_fp,
-                    expected: factory.stream_fingerprint(),
-                });
-            }
-            if let Some(state) = &ckpt.sched_state {
-                scheduler
-                    .restore_state(state)
-                    .map_err(|m| SimError::CheckpointCorrupt(m.to_string()))?;
-            }
-            let drive = ckpt.drives.first().ok_or_else(|| {
-                SimError::CheckpointCorrupt("write-back checkpoint has no drive line".into())
-            })?;
-            let wbs = ckpt.writeback.as_ref().ok_or_else(|| {
-                SimError::CheckpointCorrupt("write-back checkpoint has no writeback line".into())
-            })?;
-            now = SimTime::from_micros(ckpt.now_us);
-            mounted = drive.mounted;
-            head = drive.head;
-            for req in ckpt.pending.iter() {
-                pending.push(*req);
-            }
-            metrics = MetricsCollector::from_snapshot(&ckpt.metrics);
-            next_arrival = ckpt.next_arrival_us.map(SimTime::from_micros);
-            next_write = wbs.next_write_us.map(SimTime::from_micros);
-            wrng.state = wbs.wrng_state;
-            wrng.counter = wbs.wrng_counter;
-            buffer = wbs
-                .buffer
-                .iter()
-                .map(|&(created, dest)| Delta {
-                    created: SimTime::from_micros(created),
-                    dest: TapeId(dest),
-                })
-                .collect();
-            deltas_flushed = wbs.deltas_flushed;
-            peak_buffer = wbs.peak_buffer;
-            total_age = Micros::from_micros(wbs.total_age_us);
-            piggyback_flushes = wbs.piggyback_flushes;
-            idle_flushes = wbs.idle_flushes;
-        }
-        // First periodic-checkpoint instant strictly after the current clock.
-        let next_ckpt_at = opts
-            .write_every()
-            .map(|(every, _)| checkpoint::next_checkpoint_after(now, every));
+        let next_write = Some(SimTime::ZERO + wrng.next_gap());
+        let gap = factory
+            .next_interarrival()
+            .ok_or(SimError::ClosedArrivalStream)?;
+        let next_arrival = Some(SimTime::ZERO + gap);
 
         Ok(SteppedWriteBack {
             catalog,
@@ -419,9 +277,7 @@ impl<'a> SteppedWriteBack<'a> {
             factory,
             cfg: *cfg,
             wb: *wb,
-            opts: opts.clone(),
-            fp,
-            tracer,
+            tracer: Tracer::new(sink),
             block,
             block_bytes,
             end,
@@ -429,20 +285,19 @@ impl<'a> SteppedWriteBack<'a> {
             append_at,
             wrng,
             next_write,
-            now,
-            mounted,
-            head,
-            pending,
-            metrics,
-            buffer,
+            now: SimTime::ZERO,
+            mounted: None,
+            head: SlotIndex::BOT,
+            pending: PendingList::new(),
+            metrics: MetricsCollector::new(warmup_end),
+            buffer: VecDeque::new(),
             next_arrival,
-            deltas_flushed,
-            peak_buffer,
-            total_age,
-            piggyback_flushes,
-            idle_flushes,
+            deltas_flushed: 0,
+            peak_buffer: 0,
+            total_age: Micros::ZERO,
+            piggyback_flushes: 0,
+            idle_flushes: 0,
             stranded: 0,
-            next_ckpt_at,
             park: end,
             done: false,
         })
@@ -733,7 +588,7 @@ impl<'a> SteppedWriteBack<'a> {
     /// remains before the horizon.
     ///
     /// # Errors
-    /// Same as [`run_with_writeback_checkpointed`].
+    /// Same as [`run_with_writeback`].
     pub fn step(&mut self) -> Result<StepOutcome, SimError> {
         if self.done {
             return Ok(StepOutcome::Done);
@@ -741,51 +596,6 @@ impl<'a> SteppedWriteBack<'a> {
         if self.now >= self.end {
             self.done = true;
             return Ok(StepOutcome::Done);
-        }
-        if let (Some(at), Some((every, path))) = (self.next_ckpt_at, self.opts.write_every()) {
-            if self.now >= at {
-                let ckpt = Checkpoint {
-                    engine: EngineKind::WriteBack,
-                    fingerprint: self.fp,
-                    now_us: self.now.as_micros(),
-                    trace_seq: self.tracer.next_seq(),
-                    next_arrival_us: self.next_arrival.map(|t| t.as_micros()),
-                    factory_makes: self.factory.minted(),
-                    factory_gaps: self.factory.gaps_drawn(),
-                    factory_fp: self.factory.stream_fingerprint(),
-                    pending: self.pending.iter().cloned().collect(),
-                    metrics: self.metrics.snapshot(),
-                    faulted: Vec::new(),
-                    sched_state: self.scheduler.checkpoint_state(),
-                    faults: None,
-                    drives: vec![DriveCheckpoint {
-                        mounted: self.mounted,
-                        head: self.head,
-                        plan: None,
-                        cur_phase: None,
-                        free_at_us: self.now.as_micros(),
-                        idle: false,
-                    }],
-                    multi: None,
-                    writeback: Some(WriteBackCheckpoint {
-                        wrng_state: self.wrng.state,
-                        wrng_counter: self.wrng.counter,
-                        next_write_us: self.next_write.map(|t| t.as_micros()),
-                        buffer: self
-                            .buffer
-                            .iter()
-                            .map(|d| (d.created.as_micros(), d.dest.0))
-                            .collect(),
-                        deltas_flushed: self.deltas_flushed,
-                        peak_buffer: self.peak_buffer,
-                        total_age_us: self.total_age.as_micros(),
-                        piggyback_flushes: self.piggyback_flushes,
-                        idle_flushes: self.idle_flushes,
-                    }),
-                };
-                checkpoint::save(&ckpt, path)?;
-                self.next_ckpt_at = Some(checkpoint::next_checkpoint_after(self.now, every));
-            }
         }
         self.deliver(self.now)?;
         if self.pending.len() > self.cfg.max_pending {
@@ -948,7 +758,6 @@ struct WriteStream {
     mean: Micros,
     tapes: u16,
     state: u64,
-    counter: u64,
 }
 
 impl WriteStream {
@@ -957,7 +766,6 @@ impl WriteStream {
             mean,
             tapes,
             state: seed | 1,
-            counter: 0,
         }
     }
 
@@ -977,7 +785,6 @@ impl WriteStream {
     }
 
     fn next_dest(&mut self) -> TapeId {
-        self.counter += 1;
         TapeId(((self.next_u64() % self.tapes as u64) & 0xFFFF) as u16)
     }
 }
@@ -1167,7 +974,7 @@ mod tests {
                 &CheckpointOpts::none(),
             )
             .unwrap();
-            // Drive it through step_until checkpoints rather than one
+            // Drive it through step_until stops rather than one
             // straight run; the split idle periods must not change any
             // metric.
             engine

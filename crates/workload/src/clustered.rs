@@ -54,11 +54,6 @@ impl ClusteredSampler {
         1.0 / (1.0 - self.run_p)
     }
 
-    /// Canonical configuration description for checkpoint fingerprints.
-    pub fn config_tag(&self) -> String {
-        format!("clustered:{}:{}", self.run_p, self.base.config_tag())
-    }
-
     /// Draws the next block id: continues the current run within the same
     /// heat class, or starts a new independent draw.
     pub fn sample(&mut self, rng: &mut StdRng) -> BlockId {

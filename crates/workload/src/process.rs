@@ -74,7 +74,6 @@ pub struct RequestFactory {
     process: ArrivalProcess,
     rng: StdRng,
     next_id: u64,
-    gaps_drawn: u64,
 }
 
 impl RequestFactory {
@@ -98,7 +97,6 @@ impl RequestFactory {
             process,
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
-            gaps_drawn: 0,
         }
     }
 
@@ -110,7 +108,6 @@ impl RequestFactory {
             process,
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
-            gaps_drawn: 0,
         }
     }
 
@@ -127,7 +124,6 @@ impl RequestFactory {
             process,
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
-            gaps_drawn: 0,
         }
     }
 
@@ -188,100 +184,9 @@ impl RequestFactory {
                 // Inverse-CDF sampling of Exp(1/mean).
                 let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
                 let gap = -u.ln() * mean_interarrival.as_secs_f64();
-                self.gaps_drawn += 1;
                 Some(Micros::from_secs_f64(gap).max(Micros::from_micros(1)))
             }
         }
-    }
-
-    /// Number of interarrival gaps drawn so far (checkpoint bookkeeping;
-    /// always 0 for closed processes).
-    #[inline]
-    pub fn gaps_drawn(&self) -> u64 {
-        self.gaps_drawn
-    }
-
-    /// Replays `makes` request mints and `gaps` interarrival draws against
-    /// a freshly constructed factory, restoring the RNG stream and stream
-    /// state to the position a checkpointed factory had recorded.
-    ///
-    /// The runners interleave factory calls in exactly one of two shapes:
-    /// closed processes mint only (`gaps == 0`), and open processes lead
-    /// with `gaps - makes` interarrival draws and then strictly alternate
-    /// mint/draw. Replaying that canonical order consumes the RNG stream
-    /// identically to the original run, so every branch the samplers took
-    /// is retaken and the stream lands in the same position.
-    ///
-    /// Errors if this factory is not fresh or the counts cannot have come
-    /// from a supported interleave.
-    pub fn replay(&mut self, makes: u64, gaps: u64) -> Result<(), &'static str> {
-        if self.next_id != 0 || self.gaps_drawn != 0 {
-            return Err("replay requires a freshly constructed factory");
-        }
-        if gaps != 0 && gaps <= makes {
-            return Err("open-process checkpoints draw at least one more gap than mint");
-        }
-        if gaps != 0 && matches!(self.process, ArrivalProcess::Closed { .. }) {
-            return Err("closed-process checkpoints cannot have drawn gaps");
-        }
-        let leading = gaps.saturating_sub(makes);
-        for _ in 0..leading {
-            let _ = self.next_interarrival();
-        }
-        for _ in 0..makes {
-            let _ = self.make(SimTime::ZERO);
-            if gaps != 0 {
-                let _ = self.next_interarrival();
-            }
-        }
-        // `make` bumped `next_id` and the draws bumped `gaps_drawn`, so the
-        // counters now equal the checkpointed values by construction.
-        debug_assert_eq!(self.next_id, makes);
-        debug_assert_eq!(self.gaps_drawn, gaps);
-        Ok(())
-    }
-
-    /// A position-sensitive fingerprint of the request stream: a probe
-    /// draw from a *clone* of the RNG (so the stream itself is
-    /// undisturbed) folded with the mint/draw counters. Two factories
-    /// agree on this value iff they were built from the same seed and
-    /// configuration and have consumed the same call sequence — exactly
-    /// the property a bit-identical resume needs.
-    pub fn stream_fingerprint(&self) -> u64 {
-        let mut probe = self.rng.clone();
-        let raw: u64 = probe.gen();
-        raw ^ self
-            .next_id
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17)
-            ^ self.gaps_drawn.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-    }
-
-    /// A canonical description of the factory's configuration (process
-    /// parameters and block-stream shape), used by checkpoint config
-    /// fingerprints to reject resuming into a differently configured run.
-    pub fn config_tag(&self) -> String {
-        let process = match self.process {
-            ArrivalProcess::Closed { queue_length } => format!("closed:{queue_length}"),
-            ArrivalProcess::OpenPoisson { mean_interarrival } => {
-                format!("open:{}", mean_interarrival.as_micros())
-            }
-        };
-        let stream = match &self.stream {
-            Stream::Clustered(s) => s.config_tag(),
-            Stream::Zipf(s) => s.config_tag(),
-            Stream::Trace { blocks, .. } => {
-                // FNV-1a over the block ids: cheap, deterministic, and
-                // sensitive to both content and order.
-                let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-                for b in blocks {
-                    h ^= u64::from(b.0);
-                    h = h.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                format!("trace:{}:{h:016x}", blocks.len())
-            }
-        };
-        format!("{process};{stream}")
     }
 }
 
@@ -314,6 +219,21 @@ mod tests {
         };
         assert_eq!(mk(1), mk(1));
         assert_ne!(mk(1), mk(2));
+        // The open-mode interleave the engines use: one leading gap, then
+        // strict mint/draw alternation.
+        let open = |seed| {
+            let proc = ArrivalProcess::OpenPoisson {
+                mean_interarrival: Micros::from_secs(120),
+            };
+            let mut f = RequestFactory::new(sampler(), proc, seed);
+            let lead = f.next_interarrival();
+            let rest: Vec<_> = (0..100)
+                .map(|_| (f.make(SimTime::ZERO), f.next_interarrival()))
+                .collect();
+            (lead, rest)
+        };
+        assert_eq!(open(7), open(7));
+        assert_ne!(open(7), open(8));
     }
 
     #[test]
@@ -418,61 +338,6 @@ mod tests {
             at_1us > 1.2,
             "expected gross clamp bias at a 1 µs mean, got {at_1us} µs"
         );
-    }
-
-    #[test]
-    fn replay_restores_open_stream_position() {
-        let proc = ArrivalProcess::OpenPoisson {
-            mean_interarrival: Micros::from_secs(120),
-        };
-        let mut live = RequestFactory::new(sampler(), proc, 7);
-        // The engine's open-mode interleave: one leading gap, then a
-        // strict mint/draw alternation.
-        let _ = live.next_interarrival();
-        for _ in 0..57 {
-            let _ = live.make(SimTime::ZERO);
-            let _ = live.next_interarrival();
-        }
-        let fp = live.stream_fingerprint();
-        let mut resumed = RequestFactory::new(sampler(), proc, 7);
-        resumed.replay(live.minted(), live.gaps_drawn()).unwrap();
-        assert_eq!(resumed.stream_fingerprint(), fp);
-        for _ in 0..50 {
-            assert_eq!(live.make(SimTime::ZERO), resumed.make(SimTime::ZERO));
-            assert_eq!(live.next_interarrival(), resumed.next_interarrival());
-        }
-    }
-
-    #[test]
-    fn replay_restores_closed_stream_and_fingerprint_detects_wrong_seed() {
-        let proc = ArrivalProcess::Closed { queue_length: 60 };
-        let mut live = RequestFactory::new(sampler(), proc, 11);
-        for _ in 0..200 {
-            let _ = live.make(SimTime::ZERO);
-        }
-        let mut resumed = RequestFactory::new(sampler(), proc, 11);
-        resumed.replay(live.minted(), live.gaps_drawn()).unwrap();
-        assert_eq!(resumed.stream_fingerprint(), live.stream_fingerprint());
-        assert_eq!(
-            live.make(SimTime::ZERO).block,
-            resumed.make(SimTime::ZERO).block
-        );
-        // A wrong seed replays cleanly but lands on a different stream.
-        let mut wrong = RequestFactory::new(sampler(), proc, 12);
-        wrong.replay(201, 0).unwrap();
-        assert_ne!(wrong.stream_fingerprint(), live.stream_fingerprint());
-    }
-
-    #[test]
-    fn replay_rejects_dirty_factories_and_impossible_counts() {
-        let proc = ArrivalProcess::Closed { queue_length: 60 };
-        let mut dirty = RequestFactory::new(sampler(), proc, 1);
-        let _ = dirty.make(SimTime::ZERO);
-        assert!(dirty.replay(5, 0).is_err());
-        let mut fresh = RequestFactory::new(sampler(), proc, 1);
-        assert!(fresh.replay(5, 3).is_err(), "gaps <= makes is impossible");
-        let mut closed = RequestFactory::new(sampler(), proc, 1);
-        assert!(closed.replay(2, 7).is_err(), "closed draws no gaps");
     }
 
     #[test]

@@ -80,14 +80,6 @@ impl BlockSampler {
         self.hot_count
     }
 
-    /// Canonical configuration description for checkpoint fingerprints.
-    pub fn config_tag(&self) -> String {
-        format!(
-            "skew:{}:{}:{}",
-            self.total, self.hot_count, self.rh_fraction
-        )
-    }
-
     /// The total number of blocks.
     #[inline]
     pub fn total(&self) -> u32 {

@@ -67,11 +67,6 @@ impl ZipfSampler {
         self.cdf.len() as u32
     }
 
-    /// Canonical configuration description for checkpoint fingerprints.
-    pub fn config_tag(&self) -> String {
-        format!("zipf:{}:{}", self.total(), self.theta)
-    }
-
     /// Draws one block id (0 = most popular).
     pub fn sample(&self, rng: &mut StdRng) -> BlockId {
         let u: f64 = rng.gen();

@@ -147,8 +147,8 @@ fn run_service_scenario() -> (Vec<TraceRecord>, String) {
         backoff_cap: Micros::from_secs(960),
     };
     let sampler = || BlockSampler::from_catalog(&placed.catalog, 40.0);
-    // External mode only fingerprints the engine's factory; the blocks
-    // come from a second one.
+    // External mode never reads the engine's factory; the blocks come
+    // from a second one.
     let mut factory = RequestFactory::new(sampler(), ArrivalProcess::Closed { queue_length: 1 }, 5);
     let mut blocks = RequestFactory::new(sampler(), ArrivalProcess::Closed { queue_length: 1 }, 6);
     let mut sched = make_scheduler(AlgorithmId::Envelope(EnvelopePolicy::MaxBandwidth));

@@ -1,13 +1,17 @@
 //! Property tests over the event-trace layer: every registered scheduler,
 //! under randomized workloads and fault configurations, must emit a trace
 //! that passes the §2.2 invariant checker, and inert fault injection must
-//! leave the trace bit-identical to a fault-free run.
+//! leave the trace bit-identical to a fault-free run. The JSONL parser
+//! must survive hostile input.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use tapesim::layout::{build_placement, PlacementConfig, PlacementScheme};
 use tapesim::model::{BlockSize, FaultConfig, JukeboxGeometry, Micros, TimingModel};
 use tapesim::sched::{make_scheduler, AlgorithmId};
+use tapesim::sim::trace::jsonl;
 use tapesim::sim::{
     check_trace, run_multi_drive_traced, run_with_writeback_traced, FlushPolicy, MemorySink,
     SimConfig, TraceRecord, WriteBackConfig,
@@ -192,5 +196,43 @@ proptest! {
             }
         };
         prop_assert!(stats.completions > 0);
+    }
+}
+
+/// A golden trace: the hostile-input corpus of the parser property below.
+const GOLDEN: &str = include_str!("../golden/two_tapes_envelope.jsonl");
+
+/// A trace's field maps with integers compared by value (`04` is `4`).
+fn fields_by_value(text: &str) -> Vec<BTreeMap<String, String>> {
+    let maps = jsonl::parse(text).expect("records parse, so their fields do");
+    maps.into_iter()
+        .map(|m| {
+            m.into_iter()
+                .map(|(k, v)| (k, v.parse::<u64>().map_or(v, |n| n.to_string())))
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    /// Hostile input never panics the JSONL trace parser: any truncation
+    /// and any single-byte (ASCII) mutation of a golden trace parses to
+    /// records or to a typed error. Whatever parses is exactly what the
+    /// text says: the writer reproduces every field's value.
+    #[test]
+    fn truncated_or_mutated_traces_never_panic_the_parser(
+        cut in 0usize..=GOLDEN.len(),
+        pos in 0usize..GOLDEN.len(),
+        byte in 0u16..128,
+    ) {
+        let mut mutated = GOLDEN.as_bytes().to_vec();
+        mutated[pos] = u8::try_from(byte).unwrap();
+        let mutated = String::from_utf8(mutated).unwrap();
+        for text in [&GOLDEN[..cut], mutated.as_str()] {
+            if let Ok(records) = jsonl::parse_records(text) {
+                let written = jsonl::to_jsonl_string(&records);
+                prop_assert_eq!(fields_by_value(&written), fields_by_value(text));
+            }
+        }
     }
 }
