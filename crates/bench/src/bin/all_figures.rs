@@ -8,7 +8,7 @@
 use tapesim_bench::{emit_figure_cached, FigureCache, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args_with_cache();
     let mut cache = FigureCache::from_opts(&opts);
     println!("=== Reproducing Hillyer/Rastogi/Silberschatz, ICDE 1999 ===\n");
 

@@ -28,7 +28,7 @@ const LEVELS: [(&str, f64, Option<u64>); 4] = [
 ];
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args_with_cache();
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

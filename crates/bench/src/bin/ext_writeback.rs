@@ -16,7 +16,7 @@ use tapesim::sim::{
 use tapesim_bench::{cached_csv, write_csv, write_trace, FigureCache, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args_with_cache();
     let mut cache = FigureCache::from_opts(&opts);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();

@@ -49,7 +49,7 @@ fn run_zipf(
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args_with_cache();
     let mut cache = FigureCache::from_opts(&opts);
     let sim = opts.scale.sim_config();
     let seeds = opts.scale.seeds();

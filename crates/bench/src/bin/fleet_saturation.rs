@@ -6,7 +6,7 @@ use tapesim_bench::fleet::{default_cases, expected_rows, saturation_csv, QUEUE_L
 use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args_with_cache();
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

@@ -11,6 +11,10 @@
 //! * `--trace FILE` — for trace-aware binaries (`trace_sample`,
 //!   `ext_writeback`), record the event trace of the representative run
 //!   as JSON Lines into `FILE` (see EXPERIMENTS.md for the schema);
+//!
+//! The binaries that keep a [`FigureCache`] (`all_figures`, the `ext_*`
+//! binaries, `fleet_saturation` and `redundancy_study`) also accept:
+//!
 //! * `--checkpoint FILE` — record each completed figure/table into
 //!   `FILE` as it finishes, so a killed run can be resumed;
 //! * `--resume FILE` — restore completed figures/tables from `FILE`
@@ -18,6 +22,9 @@
 //!   file unless `--checkpoint` names another one). Because every run
 //!   is deterministic, a resumed invocation writes exactly the CSVs the
 //!   uninterrupted one would have.
+//!
+//! Every other binary refuses those two flags with a usage error (exit
+//! status 2) rather than ignoring them.
 
 #![forbid(unsafe_code)]
 
@@ -54,9 +61,51 @@ pub struct HarnessOpts {
     pub resume: Option<PathBuf>,
 }
 
+/// Why [`HarnessOpts::parse`] returned no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseStop {
+    /// `--help` or `-h`: print usage and exit 0.
+    Help,
+    /// A usage error: print it with the usage and exit 2.
+    Error(String),
+}
+
 impl HarnessOpts {
-    /// Parses `std::env::args`; exits with usage on error.
+    /// Parses `std::env::args` for a binary without a figure cache:
+    /// `--checkpoint` and `--resume` are usage errors. Exits with usage on
+    /// error.
     pub fn from_args() -> HarnessOpts {
+        Self::from_env(false)
+    }
+
+    /// Parses `std::env::args` for a binary that keeps a [`FigureCache`],
+    /// so `--checkpoint` and `--resume` are accepted. Exits with usage on
+    /// error.
+    pub fn from_args_with_cache() -> HarnessOpts {
+        Self::from_env(true)
+    }
+
+    fn from_env(cached: bool) -> HarnessOpts {
+        match Self::parse(std::env::args().skip(1), cached) {
+            Ok(opts) => opts,
+            Err(stop) => {
+                let (err, status) = match stop {
+                    ParseStop::Help => (String::new(), 0),
+                    ParseStop::Error(e) => (format!("error: {e}\n"), 2),
+                };
+                eprint!("{err}{}", usage(cached));
+                std::process::exit(status);
+            }
+        }
+    }
+
+    /// Parses the arguments after the program name. `cached` says whether
+    /// the binary keeps a [`FigureCache`]; without one, `--checkpoint`
+    /// and `--resume` are errors that name the flag.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        cached: bool,
+    ) -> Result<HarnessOpts, ParseStop> {
         let mut opts = HarnessOpts {
             scale: Scale::Default,
             open: false,
@@ -65,24 +114,23 @@ impl HarnessOpts {
             checkpoint: None,
             resume: None,
         };
-        let mut args = std::env::args().skip(1);
+        let err = |e: String| Err(ParseStop::Error(e));
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut path = |flag: &str| match args.next() {
+                Some(v) if !v.is_empty() => Ok(PathBuf::from(v)),
+                _ => Err(ParseStop::Error(format!("{flag} needs a file path"))),
+            };
             match a.as_str() {
                 "--scale" => {
                     let v = args.next().unwrap_or_default();
                     match Scale::parse(&v) {
                         Some(s) => opts.scale = s,
-                        None => usage(&format!("unknown scale '{v}'")),
+                        None => return err(format!("unknown scale '{v}'")),
                     }
                 }
                 "--open" => opts.open = true,
-                "--trace" => {
-                    let v = args.next().unwrap_or_default();
-                    if v.is_empty() {
-                        usage("--trace needs a file path");
-                    }
-                    opts.trace = Some(PathBuf::from(v));
-                }
+                "--trace" => opts.trace = Some(path("--trace")?),
                 "--out" => {
                     let v = args.next().unwrap_or_default();
                     opts.out_dir = if v == "-" {
@@ -91,25 +139,18 @@ impl HarnessOpts {
                         Some(PathBuf::from(v))
                     };
                 }
-                "--checkpoint" => {
-                    let v = args.next().unwrap_or_default();
-                    if v.is_empty() {
-                        usage("--checkpoint needs a file path");
-                    }
-                    opts.checkpoint = Some(PathBuf::from(v));
+                "--checkpoint" | "--resume" if !cached => {
+                    return err(format!(
+                        "{a} is not supported: this binary keeps no figure cache"
+                    ));
                 }
-                "--resume" => {
-                    let v = args.next().unwrap_or_default();
-                    if v.is_empty() {
-                        usage("--resume needs a file path");
-                    }
-                    opts.resume = Some(PathBuf::from(v));
-                }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown flag '{other}'")),
+                "--checkpoint" => opts.checkpoint = Some(path("--checkpoint")?),
+                "--resume" => opts.resume = Some(path("--resume")?),
+                "--help" | "-h" => return Err(ParseStop::Help),
+                other => return err(format!("unknown flag '{other}'")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// Suffix identifying the workload variant in filenames/titles.
@@ -122,15 +163,17 @@ impl HarnessOpts {
     }
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
+/// The usage line, with the figure-cache flags only where they apply.
+fn usage(cached: bool) -> String {
+    format!(
         "usage: <figure-binary> [--scale quick|default|paper] [--open] [--out DIR|-] \
-         [--trace FILE] [--checkpoint FILE] [--resume FILE]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
+         [--trace FILE]{}\n",
+        if cached {
+            " [--checkpoint FILE] [--resume FILE]"
+        } else {
+            ""
+        }
+    )
 }
 
 /// Figure-level checkpoint cache behind `--checkpoint` / `--resume`.
@@ -151,12 +194,16 @@ pub struct FigureCache {
 
 impl FigureCache {
     /// Builds the cache from the harness options: loads `--resume` if
-    /// given (ignoring it with a warning when unreadable or taken at a
-    /// different scale/variant), and arranges to write to `--checkpoint`
-    /// (or back to the `--resume` file when only that was given).
+    /// given, and arranges to write to `--checkpoint` (or back to the
+    /// `--resume` file when only that was given). A `--resume` file that
+    /// exists but is refused — unreadable, malformed, or taken at another
+    /// scale or variant — is ignored with a warning and never written:
+    /// the run recomputes everything and records into `--checkpoint` only.
+    /// A `--resume` file that does not exist yet is created.
     pub fn from_opts(opts: &HarnessOpts) -> FigureCache {
         let meta = format!("scale={:?} open={}", opts.scale, opts.open);
         let mut done = BTreeMap::new();
+        let mut refused = None;
         if let Some(path) = &opts.resume {
             match fs::read_to_string(path) {
                 Ok(text) => match parse_figure_cache(&text, &meta) {
@@ -168,19 +215,28 @@ impl FigureCache {
                         );
                         done = map;
                     }
-                    Err(e) => eprintln!(
-                        "warning: ignoring checkpoint {}: {e} (recomputing everything)",
-                        path.display()
-                    ),
+                    Err(e) => refused = Some((path, e)),
                 },
-                Err(e) => eprintln!(
-                    "warning: cannot read checkpoint {}: {e} (recomputing everything)",
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => eprintln!(
+                    "note: no checkpoint at {} yet (computing everything)",
                     path.display()
                 ),
+                Err(e) => refused = Some((path, e.to_string())),
+            }
+        }
+        let mut write_path = opts.checkpoint.clone().or_else(|| opts.resume.clone());
+        if let Some((path, e)) = refused {
+            eprintln!(
+                "warning: ignoring checkpoint {}: {e} (recomputing everything; \
+                 the file is left as it is)",
+                path.display()
+            );
+            if write_path.as_ref() == Some(path) {
+                write_path = None;
             }
         }
         FigureCache {
-            write_path: opts.checkpoint.clone().or_else(|| opts.resume.clone()),
+            write_path,
             meta,
             done,
         }
@@ -523,6 +579,76 @@ mod tests {
         assert!(parse_figure_cache(&text, META).is_ok());
         assert!(parse_figure_cache(&text, "scale=Default open=false").is_err());
         assert!(parse_figure_cache(&text, "scale=Quick open=true").is_err());
+    }
+
+    #[test]
+    fn refused_cache_is_never_written() {
+        let path = temp_path("refused");
+        let mut writer = FigureCache::from_opts(&HarnessOpts {
+            checkpoint: Some(path.clone()),
+            ..opts(Scale::Default, false)
+        });
+        writer.record("fig4_closed", CSV_A);
+        let before = fs::read_to_string(&path).unwrap();
+        let mut quick = resume(&path, Scale::Quick, false);
+        quick.record("fig4_closed", CSV_B);
+        quick.record("fig6_closed", CSV_B);
+        let after = fs::read_to_string(&path).unwrap();
+        let _ = fs::remove_file(&path);
+        assert_eq!(after, before, "the default-scale cache is untouched");
+        assert_eq!(quick.get("fig6_closed"), Some(CSV_B), "the run goes on");
+    }
+
+    #[test]
+    fn missing_resume_file_is_created() {
+        let path = temp_path("missing");
+        let _ = fs::remove_file(&path);
+        resume(&path, Scale::Quick, false).record("fig4_closed", CSV_A);
+        let resumed = resume(&path, Scale::Quick, false);
+        let _ = fs::remove_file(&path);
+        assert_eq!(resumed.get("fig4_closed"), Some(CSV_A));
+    }
+
+    fn parse(args: &[&str], cached: bool) -> Result<HarnessOpts, ParseStop> {
+        HarnessOpts::parse(args.iter().map(|a| (*a).to_string()), cached)
+    }
+
+    #[test]
+    fn cache_flags_are_errors_where_no_cache_is_kept() {
+        for flag in ["--checkpoint", "--resume"] {
+            match parse(&["--scale", "quick", flag, "f.ckpt"], false) {
+                Err(ParseStop::Error(e)) => assert!(e.contains(flag), "{e}"),
+                other => panic!("{flag} accepted without a cache: {other:?}"),
+            }
+        }
+        let opts = parse(&["--checkpoint", "a", "--resume", "b"], true).unwrap();
+        assert_eq!(opts.checkpoint, Some(PathBuf::from("a")));
+        assert_eq!(opts.resume, Some(PathBuf::from("b")));
+        assert!(!usage(false).contains("--resume"));
+        assert!(usage(true).contains("--resume"));
+    }
+
+    #[test]
+    fn other_flags_parse_or_stop() {
+        let opts = parse(&["--scale", "paper", "--open", "--out", "-"], false).unwrap();
+        assert_eq!(opts.scale, Scale::Paper);
+        assert!(opts.open && opts.out_dir.is_none());
+        assert_eq!(
+            parse(&["--trace", "t.jsonl"], false).unwrap().trace,
+            Some(PathBuf::from("t.jsonl"))
+        );
+        assert_eq!(parse(&["-h"], true).unwrap_err(), ParseStop::Help);
+        for bad in [
+            &["--scale", "bogus"][..],
+            &["--trace"],
+            &["--resume"],
+            &["--x"],
+        ] {
+            assert!(
+                matches!(parse(bad, true), Err(ParseStop::Error(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]

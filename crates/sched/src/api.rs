@@ -332,10 +332,65 @@ pub struct SweepPlan {
 }
 
 /// The pending list: all requests not yet scheduled for retrieval, in
-/// arrival (FIFO) order.
+/// arrival (FIFO) order, with a per-tape index for the tape-selection
+/// families.
+///
+/// Every request takes a sequence number when it arrives: the position of
+/// `queue[i]` is sequence number `base + i`. The index maps each tape to
+/// the count and the sequence numbers (ascending) of the pending requests
+/// with a copy on it, so a family policy reads its counts in O(tapes) and
+/// `extract_tape` takes a tape's requests in O(selected × replicas),
+/// without walking the list.
+///
+/// The index contract (DESIGN "Pending-list index contract"):
+/// - [`PendingList::push`] stays catalog-free: the index catches up from
+///   the catalog the next time a family policy reads it (`by_tape`,
+///   `extract_tape`);
+/// - a list is indexed against one catalog, the engine's;
+/// - `extract_tape` leaves tombstones (`None`) in place; the front is
+///   never a tombstone, and tombstones never outnumber live requests;
+/// - [`PendingList::extract`] is one in-place pass that keeps the index
+///   when it takes nothing. Taking anything renumbers what follows, so it
+///   then drops the tombstones too and invalidates the index, which the
+///   next family call rebuilds.
 #[derive(Debug, Clone, Default)]
 pub struct PendingList {
-    queue: VecDeque<Request>,
+    queue: VecDeque<Option<Request>>,
+    /// Sequence number of `queue[0]`.
+    base: usize,
+    /// Live (non-tombstone) entries of `queue`.
+    live: usize,
+    index: TapeIndex,
+}
+
+/// The per-tape index of a [`PendingList`].
+#[derive(Debug, Clone, Default)]
+struct TapeIndex {
+    /// Entries with a sequence number below `synced` are indexed.
+    synced: usize,
+    /// Per tape: the live requests with a copy on it.
+    counts: Vec<usize>,
+    /// Per tape: the sequence numbers, ascending, of the requests counted
+    /// in `counts`, plus stale ones of requests taken since. Stale entries
+    /// are skipped when read and dropped when a list holds more than
+    /// `2 * count + 1`, so the index stays O(live × replicas).
+    seqs: Vec<Vec<usize>>,
+}
+
+impl TapeIndex {
+    /// Forgets everything: the next sync re-indexes the whole list.
+    fn invalidate(&mut self) {
+        self.synced = 0;
+        self.counts.fill(0);
+        self.seqs.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// True when sequence number `seq` names a live request of `queue`.
+fn is_live(queue: &VecDeque<Option<Request>>, base: usize, seq: usize) -> bool {
+    seq.checked_sub(base)
+        .and_then(|i| queue.get(i))
+        .is_some_and(Option::is_some)
 }
 
 impl PendingList {
@@ -346,49 +401,175 @@ impl PendingList {
 
     /// Appends a newly arrived or deferred request.
     pub fn push(&mut self, r: Request) {
-        self.queue.push_back(r);
+        self.queue.push_back(Some(r));
+        self.live += 1;
     }
 
     /// The oldest pending request (the head of the list).
     pub fn oldest(&self) -> Option<&Request> {
-        self.queue.front()
+        self.queue.front().and_then(Option::as_ref)
     }
 
     /// Number of pending requests.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.live
     }
 
     /// True if no requests are pending.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.live == 0
     }
 
     /// Iterates the pending requests in arrival order.
     pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.queue.iter()
+        self.queue.iter().flatten()
     }
 
     /// Removes and returns all requests for which `pred` is true,
     /// preserving arrival order in both the result and the remainder.
+    /// `pred` sees each pending request once, in arrival order.
     pub fn extract<F: FnMut(&Request) -> bool>(&mut self, mut pred: F) -> Vec<Request> {
         let mut taken = Vec::new();
-        self.queue.retain(|r| {
-            if pred(r) {
+        let mut take = |slot: &Option<Request>| match slot {
+            Some(r) if pred(r) => {
                 taken.push(*r);
-                false
-            } else {
                 true
             }
-        });
+            _ => false,
+        };
+        // Requests taken at the front are popped rather than shifted over,
+        // so taking the oldest (FIFO) moves nothing. The first kept entry
+        // steps aside while `retain` judges the rest.
+        let mut head = None;
+        while let Some(slot) = self.queue.pop_front() {
+            if !take(&slot) {
+                head = Some(slot);
+                break;
+            }
+        }
+        self.queue.retain(|slot| !take(slot));
+        if let Some(slot) = head {
+            self.queue.push_front(slot);
+        }
+        if !taken.is_empty() {
+            self.live -= taken.len();
+            if self.queue.len() > self.live {
+                self.queue.retain(Option::is_some);
+            }
+            self.index.invalidate();
+        }
         taken
+    }
+
+    /// The per-tape view of the list, brought up to date with `catalog`
+    /// first.
+    pub(crate) fn by_tape(&mut self, catalog: &Catalog) -> ByTape<'_> {
+        self.sync(catalog);
+        ByTape { list: self }
+    }
+
+    /// Removes and returns every request with a copy on `tape`, in
+    /// arrival order: exactly what
+    /// `extract(|r| catalog.copy_on_tape(r.block, tape).is_some())`
+    /// returns, in O(taken × replicas) rather than a walk of the list.
+    pub(crate) fn extract_tape(&mut self, catalog: &Catalog, tape: TapeId) -> Vec<Request> {
+        self.sync(catalog);
+        let PendingList {
+            queue,
+            base,
+            live,
+            index,
+        } = self;
+        let t = tape.index();
+        let mut seqs = std::mem::take(&mut index.seqs[t]);
+        let mut taken = Vec::with_capacity(index.counts[t]);
+        for &seq in &seqs {
+            // Stale entries (taken through another tape) are skipped.
+            let Some(r) = seq
+                .checked_sub(*base)
+                .and_then(|i| queue.get_mut(i))
+                .and_then(Option::take)
+            else {
+                continue;
+            };
+            taken.push(r);
+            for other in catalog.replicas(r.block).iter().filter(|a| a.tape != tape) {
+                let u = other.tape.index();
+                index.counts[u] -= 1;
+                if index.seqs[u].len() > 2 * index.counts[u] + 1 {
+                    index.seqs[u].retain(|&s| is_live(queue, *base, s));
+                }
+            }
+        }
+        debug_assert_eq!(taken.len(), index.counts[t], "index count of {tape:?}");
+        index.counts[t] = 0;
+        seqs.clear();
+        index.seqs[t] = seqs;
+        *live -= taken.len();
+        while matches!(queue.front(), Some(None)) {
+            queue.pop_front();
+            *base += 1;
+        }
+        if queue.len() - *live > *live {
+            // Compacting renumbers the requests: rebuild the index later.
+            queue.retain(Option::is_some);
+            index.invalidate();
+        }
+        taken
+    }
+
+    /// Indexes the requests pushed since the last sync (all of them after
+    /// an invalidation).
+    fn sync(&mut self, catalog: &Catalog) {
+        let tapes = usize::from(catalog.geometry().tapes);
+        if self.index.counts.len() != tapes {
+            self.index = TapeIndex {
+                synced: 0,
+                counts: vec![0; tapes],
+                seqs: vec![Vec::new(); tapes],
+            };
+        }
+        let from = self.index.synced.max(self.base);
+        let next = self.base + self.queue.len();
+        for (seq, r) in (from..next).zip(self.queue.range(from - self.base..)) {
+            let Some(r) = r else { continue };
+            for a in catalog.replicas(r.block) {
+                self.index.counts[a.tape.index()] += 1;
+                self.index.seqs[a.tape.index()].push(seq);
+            }
+        }
+        self.index.synced = next;
+    }
+}
+
+/// The per-tape view of a [`PendingList`], from [`PendingList::by_tape`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ByTape<'a> {
+    list: &'a PendingList,
+}
+
+impl<'a> ByTape<'a> {
+    /// Number of pending requests with a copy on `tape`.
+    pub(crate) fn count(&self, tape: TapeId) -> usize {
+        self.list.index.counts[tape.index()]
+    }
+
+    /// The pending requests with a copy on `tape`, in arrival order.
+    pub(crate) fn requests(&self, tape: TapeId) -> impl Iterator<Item = &'a Request> + 'a {
+        let PendingList { queue, base, .. } = self.list;
+        self.list.index.seqs[tape.index()]
+            .iter()
+            .filter_map(move |&seq| seq.checked_sub(*base).and_then(|i| queue.get(i))?.as_ref())
     }
 }
 
 impl FromIterator<Request> for PendingList {
     fn from_iter<T: IntoIterator<Item = Request>>(iter: T) -> Self {
+        let queue: VecDeque<Option<Request>> = iter.into_iter().map(Some).collect();
         PendingList {
-            queue: iter.into_iter().collect(),
+            live: queue.len(),
+            queue,
+            ..PendingList::default()
         }
     }
 }
@@ -453,7 +634,10 @@ pub trait Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use tapesim_layout::BlockId;
+    use tapesim_model::{BlockSize, JukeboxGeometry, PhysicalAddr};
     use tapesim_workload::RequestId;
 
     #[expect(
@@ -559,5 +743,212 @@ mod tests {
         let even = p.extract(|r| r.id.0 % 2 == 0);
         assert_eq!(even.iter().map(|r| r.id.0).collect::<Vec<_>>(), [0, 2, 4]);
         assert_eq!(p.iter().map(|r| r.id.0).collect::<Vec<_>>(), [1, 3, 5]);
+    }
+
+    /// Blocks 0..4 with copies on `tapes[b]` (slot = block number).
+    fn catalog(tapes: &[&[u16]]) -> Catalog {
+        let g = JukeboxGeometry::new(TAPES, u64::from(SLOTS));
+        let blocks = u32::try_from(tapes.len()).unwrap();
+        let mut b = Catalog::builder(g, BlockSize::from_mb(1), blocks, 0);
+        for (block, copies) in (0..blocks).zip(tapes) {
+            for &t in *copies {
+                let addr = PhysicalAddr {
+                    tape: TapeId(t),
+                    slot: SlotIndex(block),
+                };
+                b.place(BlockId(block), addr).unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn on(id: u64, block: u32) -> Request {
+        Request {
+            id: RequestId(id),
+            block: BlockId(block),
+            arrival: SimTime::ZERO,
+        }
+    }
+
+    #[test]
+    fn extract_tape_takes_in_arrival_order_and_updates_replica_counts() {
+        // Block 0 on tapes 0 and 1, block 1 on tape 1, block 2 on tape 2.
+        let c = catalog(&[&[0, 1], &[1], &[2]]);
+        let mut p: PendingList = [on(0, 1), on(1, 0), on(2, 2), on(3, 0)]
+            .into_iter()
+            .collect();
+        let counts = |p: &mut PendingList| -> Vec<usize> {
+            let by_tape = p.by_tape(&c);
+            (0..3).map(|t| by_tape.count(TapeId(t))).collect()
+        };
+        assert_eq!(counts(&mut p), [2, 3, 1]);
+        let taken = p.extract_tape(&c, TapeId(0));
+        assert_eq!(taken.iter().map(|r| r.id.0).collect::<Vec<_>>(), [1, 3]);
+        // Tape 1 lost the two requests it shared with tape 0.
+        assert_eq!(counts(&mut p), [0, 1, 1]);
+        assert_eq!(p.iter().map(|r| r.id.0).collect::<Vec<_>>(), [0, 2]);
+        // A push after the sync is indexed at the next read.
+        p.push(on(4, 0));
+        assert_eq!(counts(&mut p), [1, 2, 1]);
+        assert_eq!(p.oldest().map(|r| r.id.0), Some(0));
+        // A generic extract that takes nothing keeps the index and the
+        // tombstone; one that takes something drops both.
+        assert!(p.extract(|r| r.id.0 == 9).is_empty());
+        assert_eq!((p.index.synced, p.queue.len()), (5, 5));
+        assert_eq!(p.extract(|r| r.id.0 == 0), [on(0, 1)]);
+        assert_eq!((p.index.synced, p.queue.len()), (0, 2));
+        assert_eq!(counts(&mut p), [1, 1, 1]);
+    }
+
+    const TAPES: u16 = 5;
+    const SLOTS: u32 = 12;
+
+    /// A random catalog on `TAPES` tapes × `SLOTS` slots: block `b` gets
+    /// `copies[b]` copies (1–4, so NR 0–3) on distinct tapes, at slots
+    /// drawn from `placements`. `None` when the draws run dry.
+    fn random_catalog(placements: &[(u16, u32)], copies: &[usize]) -> Option<Catalog> {
+        let g = JukeboxGeometry::new(TAPES, u64::from(SLOTS));
+        let blocks = u32::try_from(copies.len()).unwrap();
+        let mut builder = Catalog::builder(g, BlockSize::from_mb(1), blocks, 0);
+        let mut draws = placements.iter();
+        for (b, &n) in (0..blocks).zip(copies) {
+            let mut tapes: Vec<TapeId> = Vec::new();
+            while tapes.len() < n {
+                let &(t, s) = draws.next()?;
+                let addr = PhysicalAddr {
+                    tape: TapeId(t),
+                    slot: SlotIndex(s),
+                };
+                if !tapes.contains(&addr.tape) && builder.place(BlockId(b), addr).is_ok() {
+                    tapes.push(addr.tape);
+                }
+            }
+        }
+        builder.build().ok()
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Push a request for block `b % blocks`.
+        Push(u32),
+        /// `extract_tape` of one tape.
+        ExtractTape(u16),
+        /// Generic `extract` of the requests whose id is `k` modulo `m`.
+        ExtractMod(u64, u64),
+        /// Generic `extract` of one id, as `cancel` and FIFO do.
+        Remove(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u32..64).prop_map(Op::Push),
+            (0u32..64).prop_map(Op::Push),
+            (0u32..64).prop_map(Op::Push),
+            (0u16..TAPES).prop_map(Op::ExtractTape),
+            (0u16..TAPES).prop_map(Op::ExtractTape),
+            (2u64..5, 0u64..5).prop_map(|(m, k)| Op::ExtractMod(m, k % m)),
+            (0u64..64).prop_map(Op::Remove),
+        ]
+    }
+
+    /// Checks `p` against the plain model after an op.
+    fn check(p: &PendingList, model: &VecDeque<Request>, c: &Catalog) -> Result<(), TestCaseError> {
+        prop_assert!(p.iter().eq(model.iter()), "iter() differs from the model");
+        prop_assert_eq!(p.oldest(), model.front());
+        prop_assert_eq!(p.len(), model.len());
+        prop_assert_eq!(p.is_empty(), model.is_empty());
+        // Tombstones: never at the front, never more than live requests.
+        prop_assert!(!matches!(p.queue.front(), Some(None)));
+        prop_assert!(p.queue.len() - p.live <= p.live);
+        // Stored index entries stay within twice the (request, copy) pairs
+        // plus one per tape.
+        let pairs: usize = model.iter().map(|r| c.replicas(r.block).len()).sum();
+        let entries: usize = p.index.seqs.iter().map(Vec::len).sum();
+        prop_assert!(
+            entries <= 2 * pairs + usize::from(TAPES),
+            "{entries} index entries for {pairs} pairs"
+        );
+        // Counts and per-tape requests equal a recount, read from a clone
+        // so that `p` itself syncs only when the ops make it.
+        let mut synced = p.clone();
+        let by_tape = synced.by_tape(c);
+        for tape in (0..TAPES).map(TapeId) {
+            let on_tape: Vec<&Request> = model
+                .iter()
+                .filter(|r| c.copy_on_tape(r.block, tape).is_some())
+                .collect();
+            prop_assert_eq!(by_tape.count(tape), on_tape.len(), "count of {:?}", tape);
+            prop_assert!(by_tape.requests(tape).eq(on_tape), "requests of {:?}", tape);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn tape_index_matches_a_recount_and_a_plain_queue(
+            placements in proptest::collection::vec((0u16..TAPES, 0u32..SLOTS), 40),
+            copies in proptest::collection::vec(1usize..=4, 1..=8),
+            ops in proptest::collection::vec(op(), 1..=120),
+        ) {
+            let Some(c) = random_catalog(&placements, &copies) else {
+                return Ok(());
+            };
+            let blocks = u32::try_from(copies.len()).unwrap();
+            let mut p = PendingList::new();
+            let mut model: VecDeque<Request> = VecDeque::new();
+            let mut next_id = 0u64;
+            for op in ops {
+                match op {
+                    Op::Push(b) => {
+                        let r = on(next_id, b % blocks);
+                        next_id += 1;
+                        p.push(r);
+                        model.push_back(r);
+                    }
+                    Op::ExtractTape(t) => {
+                        let tape = TapeId(t);
+                        let on_tape = |r: &Request| c.copy_on_tape(r.block, tape).is_some();
+                        let mut reference = p.clone();
+                        let expected = reference.extract(on_tape);
+                        let taken = p.extract_tape(&c, tape);
+                        prop_assert_eq!(&taken, &expected);
+                        prop_assert!(p.iter().eq(reference.iter()));
+                        model.retain(|r| !on_tape(r));
+                    }
+                    Op::ExtractMod(m, k) => {
+                        let pick = |r: &Request| r.id.0 % m == k;
+                        let synced = p.index.synced;
+                        let mut seen = Vec::new();
+                        let taken = p.extract(|r| {
+                            seen.push(r.id);
+                            pick(r)
+                        });
+                        // `pred` sees each pending request once, in order.
+                        prop_assert!(seen.iter().eq(model.iter().map(|r| &r.id)));
+                        let expected: Vec<Request> =
+                            model.iter().copied().filter(pick).collect();
+                        prop_assert_eq!(&taken, &expected);
+                        // Taking nothing keeps the index.
+                        if taken.is_empty() {
+                            prop_assert_eq!(p.index.synced, synced);
+                        }
+                        model.retain(|r| !pick(r));
+                    }
+                    Op::Remove(i) => {
+                        let id = RequestId(i % next_id.max(1));
+                        let synced = p.index.synced;
+                        let taken = p.extract(|r| r.id == id);
+                        let expected: Vec<Request> =
+                            model.iter().copied().filter(|r| r.id == id).collect();
+                        prop_assert_eq!(&taken, &expected);
+                        if taken.is_empty() {
+                            prop_assert_eq!(p.index.synced, synced);
+                        }
+                        model.retain(|r| r.id != id);
+                    }
+                }
+                check(&p, &model, &c)?;
+            }
+        }
     }
 }

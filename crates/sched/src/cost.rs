@@ -11,7 +11,7 @@ use tapesim_layout::Catalog;
 use tapesim_model::{BlockSize, Micros, ReadContext, SlotIndex, TapeId, TimingModel};
 use tapesim_workload::Request;
 
-use crate::api::{JukeboxView, PendingList, ScheduledRead, ServiceList};
+use crate::api::{JukeboxView, ScheduledRead, ServiceList};
 
 /// Time to execute a sequence of stops in the given order starting with
 /// the head at `head`. Each stop is one locate (in whichever direction the
@@ -65,16 +65,18 @@ pub struct TapeCandidate {
     pub request_count: usize,
 }
 
-/// Collects the candidate work for `tape`: every pending request with a
-/// copy on that tape. Returns `None` when the tape can satisfy nothing.
-pub fn candidate_for_tape(
+/// Collects the candidate work for `tape`: every request of `requests`
+/// with a copy on that tape (the tape-selection policies pass the tape's
+/// requests from the pending list's index). Returns `None` when the tape
+/// can satisfy nothing.
+pub fn candidate_for_tape<'r>(
     catalog: &Catalog,
-    pending: &PendingList,
     tape: TapeId,
+    requests: impl IntoIterator<Item = &'r Request>,
 ) -> Option<TapeCandidate> {
     let mut slots: Vec<SlotIndex> = Vec::new();
     let mut request_count = 0usize;
-    for r in pending.iter() {
+    for r in requests {
         if let Some(addr) = catalog.copy_on_tape(r.block, tape) {
             slots.push(addr.slot);
             request_count += 1;
@@ -90,58 +92,6 @@ pub fn candidate_for_tape(
         slots,
         request_count,
     })
-}
-
-/// Collects the candidate work for every tape in a single pass over the
-/// pending list. Entry `t` is what [`candidate_for_tape`] would return
-/// for tape `t` — a block has at most one copy per tape, so walking each
-/// request's replica list visits exactly the `(request, tape)` pairs the
-/// per-tape scans would, without rescanning the pending list per tape.
-pub fn candidates_for_all_tapes(
-    catalog: &Catalog,
-    pending: &PendingList,
-) -> Vec<Option<TapeCandidate>> {
-    let tapes = catalog.geometry().tapes as usize;
-    let mut slots: Vec<Vec<SlotIndex>> = vec![Vec::new(); tapes];
-    let mut counts: Vec<usize> = vec![0; tapes];
-    for r in pending.iter() {
-        for a in catalog.replicas(r.block) {
-            slots[a.tape.index()].push(a.slot);
-            counts[a.tape.index()] += 1;
-        }
-    }
-    catalog
-        .geometry()
-        .tape_ids()
-        .zip(slots)
-        .zip(counts)
-        .map(|((tape, mut slots), request_count)| {
-            if slots.is_empty() {
-                return None;
-            }
-            slots.sort_unstable();
-            slots.dedup();
-            Some(TapeCandidate {
-                tape,
-                slots,
-                request_count,
-            })
-        })
-        .collect()
-}
-
-/// Per-tape pending-request counts in a single pass — entry `t` equals
-/// the `request_count` of [`candidates_for_all_tapes`]'s entry `t` (0
-/// where that entry is `None`). The count-scored selection policies and
-/// availability probes need only this, not the sorted slot lists.
-pub fn counts_for_all_tapes(catalog: &Catalog, pending: &PendingList) -> Vec<usize> {
-    let mut counts: Vec<usize> = vec![0; catalog.geometry().tapes as usize];
-    for r in pending.iter() {
-        for a in catalog.replicas(r.block) {
-            counts[a.tape.index()] += 1;
-        }
-    }
-    counts
 }
 
 /// Cost to prepare `tape` for service: zero when it is already mounted,
@@ -263,6 +213,7 @@ pub fn split_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::PendingList;
     use tapesim_layout::{BlockId, Catalog};
     use tapesim_model::{JukeboxGeometry, PhysicalAddr, SimTime};
     use tapesim_workload::RequestId;
@@ -367,10 +318,10 @@ mod tests {
         p.push(req(1, 6)); // tape 1 slot 15
         p.push(req(2, 0)); // duplicate block
         p.push(req(3, 3)); // tape 0 slot 40
-        let cand = candidate_for_tape(&c, &p, TapeId(0)).unwrap();
+        let cand = candidate_for_tape(&c, TapeId(0), p.iter()).unwrap();
         assert_eq!(cand.slots, vec![SlotIndex(10), SlotIndex(40)]);
         assert_eq!(cand.request_count, 3);
-        let cand1 = candidate_for_tape(&c, &p, TapeId(1)).unwrap();
+        let cand1 = candidate_for_tape(&c, TapeId(1), p.iter()).unwrap();
         assert_eq!(cand1.slots, vec![SlotIndex(15)]);
         assert_eq!(cand1.request_count, 1);
     }
@@ -380,7 +331,7 @@ mod tests {
         let c = catalog();
         let mut p = PendingList::new();
         p.push(req(0, 0));
-        assert!(candidate_for_tape(&c, &p, TapeId(1)).is_none());
+        assert!(candidate_for_tape(&c, TapeId(1), p.iter()).is_none());
     }
 
     #[test]
@@ -428,8 +379,8 @@ mod tests {
             offline: &[],
             fleet: crate::api::FleetView::SINGLE,
         };
-        let c0 = candidate_for_tape(&c, &p, TapeId(0)).unwrap();
-        let c1 = candidate_for_tape(&c, &p, TapeId(1)).unwrap();
+        let c0 = candidate_for_tape(&c, TapeId(0), p.iter()).unwrap();
+        let c1 = candidate_for_tape(&c, TapeId(1), p.iter()).unwrap();
         // Same single-block work, but tape 1 needs a switch.
         assert!(effective_bandwidth(&view, &c0) > effective_bandwidth(&view, &c1));
     }

@@ -27,7 +27,7 @@ fn family_major_reschedule(
     pending: &mut PendingList,
 ) -> Option<SweepPlan> {
     let tape = policy.select(view, pending)?;
-    let requests = pending.extract(|r| view.catalog.copy_on_tape(r.block, tape).is_some());
+    let requests = pending.extract_tape(view.catalog, tape);
     debug_assert!(!requests.is_empty(), "selected tape must have requests");
     Some(SweepPlan {
         tape,

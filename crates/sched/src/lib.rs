@@ -34,8 +34,8 @@ pub use api::{
     SweepPhase, SweepPlan,
 };
 pub use cost::{
-    candidate_for_tape, candidates_for_all_tapes, effective_bandwidth, execution_cost,
-    forward_list_for, mount_cost, split_sweep, start_head, walk_cost, TapeCandidate,
+    candidate_for_tape, effective_bandwidth, execution_cost, forward_list_for, mount_cost,
+    split_sweep, start_head, walk_cost, TapeCandidate,
 };
 pub use ec::{choose_shards, read_envelope, shard_pick_cost};
 pub use envelope::{

@@ -20,10 +20,8 @@
 use tapesim_model::TapeId;
 use tapesim_workload::Request;
 
-use crate::api::{JukeboxView, PendingList};
-use crate::cost::{
-    candidates_for_all_tapes, counts_for_all_tapes, effective_bandwidth, TapeCandidate,
-};
+use crate::api::{ByTape, JukeboxView, PendingList};
+use crate::cost::{candidate_for_tape, effective_bandwidth};
 
 /// The five tape-selection policies of Section 3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,8 +60,9 @@ impl TapeSelectPolicy {
     }
 
     /// Selects the tape to service next, or `None` when the pending list
-    /// is empty.
-    pub fn select(self, view: &JukeboxView<'_>, pending: &PendingList) -> Option<TapeId> {
+    /// is empty. Reads the per-tape counts and requests from the list's
+    /// per-tape index, which it brings up to date first.
+    pub fn select(self, view: &JukeboxView<'_>, pending: &mut PendingList) -> Option<TapeId> {
         if pending.is_empty() {
             return None;
         }
@@ -71,30 +70,33 @@ impl TapeSelectPolicy {
         // The reference tape for "jukebox order starting at the currently
         // mounted tape".
         let anchor = view.mounted.unwrap_or(TapeId(0));
+        let eligible = match self {
+            TapeSelectPolicy::OldestMaxRequests | TapeSelectPolicy::OldestMaxBandwidth => {
+                Some(oldest_eligible(view, pending)?)
+            }
+            _ => None,
+        };
+        let eligible = eligible.as_deref();
+        let by_tape = pending.by_tape(view.catalog);
 
         match self {
             TapeSelectPolicy::RoundRobin => {
                 // Scan mounted+1, mounted+2, ..., wrapping, ending at the
-                // mounted tape itself. Only "has a pending request" is
-                // needed, so skip the sorted candidate slot lists.
-                let counts = counts_for_all_tapes(view.catalog, pending);
+                // mounted tape itself.
                 let t = geometry.tapes;
                 (1..=t)
                     .map(|i| TapeId((anchor.0 + i) % t))
-                    .find(|&tape| view.is_available(tape) && counts[tape.index()] > 0)
+                    .find(|&tape| by_tape.count(tape) > 0 && view.is_available(tape))
             }
-            TapeSelectPolicy::MaxRequests => best_by_count(view, pending, anchor, None),
-            TapeSelectPolicy::MaxBandwidth => best_by(view, pending, anchor, None, |v, c| {
-                effective_bandwidth(v, c)
-            }),
-            TapeSelectPolicy::OldestMaxRequests => {
-                let eligible = oldest_eligible(view, pending)?;
-                best_by_count(view, pending, anchor, Some(&eligible))
+            TapeSelectPolicy::MaxRequests | TapeSelectPolicy::OldestMaxRequests => {
+                best_by(view, by_tape, anchor, eligible, |tape| {
+                    Some(by_tape.count(tape) as f64)
+                })
             }
-            TapeSelectPolicy::OldestMaxBandwidth => {
-                let eligible = oldest_eligible(view, pending)?;
-                best_by(view, pending, anchor, Some(&eligible), |v, c| {
-                    effective_bandwidth(v, c)
+            TapeSelectPolicy::MaxBandwidth | TapeSelectPolicy::OldestMaxBandwidth => {
+                best_by(view, by_tape, anchor, eligible, |tape| {
+                    candidate_for_tape(view.catalog, tape, by_tape.requests(tape))
+                        .map(|cand| effective_bandwidth(view, &cand))
                 })
             }
         }
@@ -133,59 +135,23 @@ fn oldest_eligible(view: &JukeboxView<'_>, pending: &PendingList) -> Option<Vec<
         .map(replica_tapes)
 }
 
-/// Picks the tape maximizing `score`, breaking ties by the first tape in
-/// jukebox order starting at `anchor`. Restricting to `eligible` tapes
-/// when given.
-/// [`best_by`] specialized to the count-scored policies: the score is the
-/// pending-request count, so the per-tape sorted slot lists are never
-/// built. Selection and tie-breaking are identical to scoring a full
-/// candidate with `request_count as f64`.
-fn best_by_count(
-    view: &JukeboxView<'_>,
-    pending: &PendingList,
-    anchor: TapeId,
-    eligible: Option<&[TapeId]>,
-) -> Option<TapeId> {
-    let geometry = view.catalog.geometry();
-    let counts = counts_for_all_tapes(view.catalog, pending);
-    let mut best: Option<(f64, u16, TapeId)> = None;
-    for tape in geometry.tape_ids() {
-        if !view.is_available(tape) {
-            continue;
-        }
-        if let Some(list) = eligible {
-            if !list.contains(&tape) {
-                continue;
-            }
-        }
-        if counts[tape.index()] == 0 {
-            continue;
-        }
-        let s = counts[tape.index()] as f64;
-        let dist = geometry.circular_distance(anchor, tape);
-        let better = match &best {
-            None => true,
-            Some((bs, bd, _)) => s > *bs || (s == *bs && dist < *bd),
-        };
-        if better {
-            best = Some((s, dist, tape));
-        }
-    }
-    best.map(|(_, _, t)| t)
-}
-
+/// Picks, among the available tapes with pending work (restricted to
+/// `eligible` when given), the one with the highest `score`, skipping
+/// tapes scored `None`. Ties go to the first tape in jukebox order
+/// starting at `anchor`. The count-scored policies score a tape by its
+/// pending count, so they build no candidate slot list.
 fn best_by(
     view: &JukeboxView<'_>,
-    pending: &PendingList,
+    by_tape: ByTape<'_>,
     anchor: TapeId,
     eligible: Option<&[TapeId]>,
-    score: impl Fn(&JukeboxView<'_>, &TapeCandidate) -> f64,
+    mut score: impl FnMut(TapeId) -> Option<f64>,
 ) -> Option<TapeId> {
     let geometry = view.catalog.geometry();
-    let candidates = candidates_for_all_tapes(view.catalog, pending);
-    let mut best: Option<(f64, u16, TapeId)> = None;
+    let dist = |tape| geometry.circular_distance(anchor, tape);
+    let mut best: Option<(f64, TapeId)> = None;
     for tape in geometry.tape_ids() {
-        if !view.is_available(tape) {
+        if by_tape.count(tape) == 0 || !view.is_available(tape) {
             continue;
         }
         if let Some(list) = eligible {
@@ -193,20 +159,18 @@ fn best_by(
                 continue;
             }
         }
-        let Some(cand) = &candidates[tape.index()] else {
+        let Some(s) = score(tape) else {
             continue;
         };
-        let s = score(view, cand);
-        let dist = geometry.circular_distance(anchor, tape);
-        let better = match &best {
+        let better = match best {
             None => true,
-            Some((bs, bd, _)) => s > *bs || (s == *bs && dist < *bd),
+            Some((bs, bt)) => s > bs || (s == bs && dist(tape) < dist(bt)),
         };
         if better {
-            best = Some((s, dist, tape));
+            best = Some((s, tape));
         }
     }
-    best.map(|(_, _, t)| t)
+    best.map(|(_, t)| t)
 }
 
 #[cfg(test)]
@@ -266,9 +230,9 @@ mod tests {
         let c = catalog();
         let t = TimingModel::paper_default();
         let v = view(&c, &t, None);
-        let p = PendingList::new();
+        let mut p = PendingList::new();
         for policy in TapeSelectPolicy::ALL {
-            assert_eq!(policy.select(&v, &p), None, "{}", policy.name());
+            assert_eq!(policy.select(&v, &mut p), None, "{}", policy.name());
         }
     }
 
@@ -277,14 +241,17 @@ mod tests {
         let c = catalog();
         let t = TimingModel::paper_default();
         // Requests on tapes 1 and 3.
-        let p: PendingList = vec![req(0, 1), req(1, 3)].into_iter().collect();
+        let mut p: PendingList = vec![req(0, 1), req(1, 3)].into_iter().collect();
         let v = view(&c, &t, Some(TapeId(1)));
         // After tape 1 comes 2 (nothing), then 3 (has a request).
-        assert_eq!(TapeSelectPolicy::RoundRobin.select(&v, &p), Some(TapeId(3)));
+        assert_eq!(
+            TapeSelectPolicy::RoundRobin.select(&v, &mut p),
+            Some(TapeId(3))
+        );
         // After tape 3, wraps to 0 (nothing), then 1.
         let v3 = view(&c, &t, Some(TapeId(3)));
         assert_eq!(
-            TapeSelectPolicy::RoundRobin.select(&v3, &p),
+            TapeSelectPolicy::RoundRobin.select(&v3, &mut p),
             Some(TapeId(1))
         );
     }
@@ -293,9 +260,12 @@ mod tests {
     fn round_robin_can_reselect_mounted_as_last_resort() {
         let c = catalog();
         let t = TimingModel::paper_default();
-        let p: PendingList = vec![req(0, 2)].into_iter().collect();
+        let mut p: PendingList = vec![req(0, 2)].into_iter().collect();
         let v = view(&c, &t, Some(TapeId(2)));
-        assert_eq!(TapeSelectPolicy::RoundRobin.select(&v, &p), Some(TapeId(2)));
+        assert_eq!(
+            TapeSelectPolicy::RoundRobin.select(&v, &mut p),
+            Some(TapeId(2))
+        );
     }
 
     #[test]
@@ -303,12 +273,12 @@ mod tests {
         let c = catalog();
         let t = TimingModel::paper_default();
         // Three requests on tape 2, one on tape 0.
-        let p: PendingList = vec![req(0, 0), req(1, 2), req(2, 6), req(3, 10)]
+        let mut p: PendingList = vec![req(0, 0), req(1, 2), req(2, 6), req(3, 10)]
             .into_iter()
             .collect();
         let v = view(&c, &t, None);
         assert_eq!(
-            TapeSelectPolicy::MaxRequests.select(&v, &p),
+            TapeSelectPolicy::MaxRequests.select(&v, &mut p),
             Some(TapeId(2))
         );
     }
@@ -318,17 +288,17 @@ mod tests {
         let c = catalog();
         let t = TimingModel::paper_default();
         // One request each on tapes 0 and 3.
-        let p: PendingList = vec![req(0, 0), req(1, 3)].into_iter().collect();
+        let mut p: PendingList = vec![req(0, 0), req(1, 3)].into_iter().collect();
         // Mounted tape 3: distance(3->3)=0 beats distance(3->0)=1.
         let v = view(&c, &t, Some(TapeId(3)));
         assert_eq!(
-            TapeSelectPolicy::MaxRequests.select(&v, &p),
+            TapeSelectPolicy::MaxRequests.select(&v, &mut p),
             Some(TapeId(3))
         );
         // Mounted tape 1: distance(1->3)=2 beats... distance(1->0)=3; so 3.
         let v1 = view(&c, &t, Some(TapeId(1)));
         assert_eq!(
-            TapeSelectPolicy::MaxRequests.select(&v1, &p),
+            TapeSelectPolicy::MaxRequests.select(&v1, &mut p),
             Some(TapeId(3))
         );
     }
@@ -339,10 +309,10 @@ mod tests {
         let t = TimingModel::paper_default();
         // Identical work on tapes 0 and 1 (same slots), but tape 1 is
         // mounted, so it avoids the 81 s switch.
-        let p: PendingList = vec![req(0, 0), req(1, 1)].into_iter().collect();
+        let mut p: PendingList = vec![req(0, 0), req(1, 1)].into_iter().collect();
         let v = view(&c, &t, Some(TapeId(1)));
         assert_eq!(
-            TapeSelectPolicy::MaxBandwidth.select(&v, &p),
+            TapeSelectPolicy::MaxBandwidth.select(&v, &mut p),
             Some(TapeId(1))
         );
     }
@@ -353,16 +323,16 @@ mod tests {
         let t = TimingModel::paper_default();
         // Oldest request (id 0) is on tape 1; tape 2 has more requests but
         // cannot satisfy the oldest.
-        let p: PendingList = vec![req(0, 1), req(1, 2), req(2, 6), req(3, 10)]
+        let mut p: PendingList = vec![req(0, 1), req(1, 2), req(2, 6), req(3, 10)]
             .into_iter()
             .collect();
         let v = view(&c, &t, None);
         assert_eq!(
-            TapeSelectPolicy::OldestMaxRequests.select(&v, &p),
+            TapeSelectPolicy::OldestMaxRequests.select(&v, &mut p),
             Some(TapeId(1))
         );
         assert_eq!(
-            TapeSelectPolicy::OldestMaxBandwidth.select(&v, &p),
+            TapeSelectPolicy::OldestMaxBandwidth.select(&v, &mut p),
             Some(TapeId(1))
         );
     }
@@ -372,7 +342,7 @@ mod tests {
         let c = catalog();
         let t = TimingModel::paper_default();
         // Requests on tapes 1 and 3; tape 3 has more work but is offline.
-        let p: PendingList = vec![req(0, 1), req(1, 3), req(2, 7), req(3, 11)]
+        let mut p: PendingList = vec![req(0, 1), req(1, 3), req(2, 7), req(3, 11)]
             .into_iter()
             .collect();
         let offline = [TapeId(3)];
@@ -382,7 +352,12 @@ mod tests {
             ..view(&c, &t, None)
         };
         for policy in TapeSelectPolicy::ALL {
-            assert_eq!(policy.select(&v, &p), Some(TapeId(1)), "{}", policy.name());
+            assert_eq!(
+                policy.select(&v, &mut p),
+                Some(TapeId(1)),
+                "{}",
+                policy.name()
+            );
         }
     }
 
@@ -393,7 +368,7 @@ mod tests {
         // Oldest request's only copy is on tape 1, which is offline. The
         // oldest policies must fall back to the next-oldest serviceable
         // request (block 2, on tape 2) instead of deadlocking.
-        let p: PendingList = vec![req(0, 1), req(1, 2)].into_iter().collect();
+        let mut p: PendingList = vec![req(0, 1), req(1, 2)].into_iter().collect();
         let offline = [TapeId(1)];
         let v = JukeboxView {
             offline: &offline,
@@ -401,11 +376,11 @@ mod tests {
             ..view(&c, &t, None)
         };
         assert_eq!(
-            TapeSelectPolicy::OldestMaxRequests.select(&v, &p),
+            TapeSelectPolicy::OldestMaxRequests.select(&v, &mut p),
             Some(TapeId(2))
         );
         assert_eq!(
-            TapeSelectPolicy::OldestMaxBandwidth.select(&v, &p),
+            TapeSelectPolicy::OldestMaxBandwidth.select(&v, &mut p),
             Some(TapeId(2))
         );
         // When every pending request is stranded, nothing is selected.
@@ -415,7 +390,10 @@ mod tests {
             fleet: crate::api::FleetView::SINGLE,
             ..view(&c, &t, None)
         };
-        assert_eq!(TapeSelectPolicy::OldestMaxRequests.select(&v2, &p), None);
+        assert_eq!(
+            TapeSelectPolicy::OldestMaxRequests.select(&v2, &mut p),
+            None
+        );
     }
 
     #[test]

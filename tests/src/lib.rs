@@ -1,7 +1,7 @@
 //! Integration test crate; see `tests/` for the tests themselves. This
-//! library holds the fixtures that more than one test file shares, and
-//! [`lint_check`], which runs clippy under the repository's lint
-//! configuration.
+//! library holds the fixtures that more than one test file shares, the
+//! [`pinned`] report tables, and [`lint_check`], which runs clippy under
+//! the repository's lint configuration.
 //!
 //! The `#[cfg(test)]` modules below pin that configuration (`clippy.toml`
 //! and the root `[workspace.lints]` table) case by case: each test runs
@@ -13,6 +13,7 @@
 #![forbid(unsafe_code)]
 
 pub mod lint_check;
+pub mod pinned;
 
 /// Order totality and fork-join confinement.
 #[cfg(test)]

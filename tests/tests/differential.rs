@@ -5,11 +5,8 @@
 //! field-for-field.
 //!
 //! That engine has been removed, so its outputs are kept as data. Each row
-//! of `tests/golden/one_drive_reports.txt` is one scenario: the
-//! `completed`, `physical_reads` and throughput figures, an FNV-1a hash
-//! of the whole [`MetricsReport`] (its `Debug` rendering, which prints
-//! every `f64` exactly), and a hash of the completion sequence
-//! `(instant µs, request id)` in trace order. The table was recorded from
+//! of `tests/golden/one_drive_reports.txt` is one scenario in the row
+//! format of [`integration_tests::pinned`]. The table was recorded from
 //! the single-drive engine; every row must match exactly.
 //!
 //! Only closed workloads are pinned. Open-queue runs move by the
@@ -22,17 +19,12 @@
 //! UPDATE_GOLDEN=1 cargo test -p integration-tests --test differential
 //! ```
 
-use std::path::{Path, PathBuf};
-use std::sync::Once;
-
 use integration_tests::light_faults;
+use integration_tests::pinned::{self, Table};
 use tapesim::layout::{build_placement, PlacementConfig, PlacementScheme};
 use tapesim::model::{BlockSize, FaultConfig, JukeboxGeometry, TimingModel};
 use tapesim::sched::{make_scheduler, AlgorithmId, EnvelopePolicy, TapeSelectPolicy};
-use tapesim::sim::{
-    check_trace, run_multi_drive_traced, MemorySink, MetricsReport, SimConfig, TraceEvent,
-    TraceRecord,
-};
+use tapesim::sim::{run_multi_drive_traced, MemorySink, MetricsReport, SimConfig, TraceRecord};
 use tapesim::workload::{ArrivalProcess, BlockSampler, RequestFactory};
 
 const GOLDEN: &str = "one_drive_reports.txt";
@@ -158,99 +150,28 @@ fn run(sc: &Scenario) -> (MetricsReport, Vec<TraceRecord>) {
     (report, sink.into_events())
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
-}
-
-fn row(sc: &Scenario) -> String {
-    let (report, trace) = run(sc);
-    check_trace(&trace).unwrap_or_else(|v| panic!("{}: trace invalid: {}", sc.name(), v[0]));
-    let completions: Vec<u8> = trace
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::Complete { req, .. } => Some((r.at.as_micros(), req.0)),
-            _ => None,
-        })
-        .flat_map(|(at, req)| at.to_le_bytes().into_iter().chain(req.to_le_bytes()))
-        .collect();
-    assert!(!completions.is_empty(), "{}: no completions", sc.name());
-    format!(
-        "{}: completed={} physical_reads={} throughput_kb_s={:.6} report={:016x} completions={:016x}",
-        sc.name(),
-        report.completed,
-        report.physical_reads,
-        report.throughput_kb_per_s,
-        fnv1a(format!("{report:?}").into_bytes()),
-        fnv1a(completions),
-    )
-}
-
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("golden")
-        .join(GOLDEN)
-}
-
-/// Checks `group`'s rows against the pinned table. With `UPDATE_GOLDEN`
-/// set it rewrites the whole table instead: the first test to get here
-/// writes it and the others wait for it.
-fn assert_pinned(group: &[Scenario]) {
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        static REGENERATED: Once = Once::new();
-        REGENERATED.call_once(|| {
-            let table: String = scenarios().iter().map(|sc| row(sc) + "\n").collect();
-            std::fs::write(&path, table).unwrap();
-            eprintln!("regenerated {}", path.display());
-        });
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {}: {e}\n(regenerate with UPDATE_GOLDEN=1 \
-             cargo test -p integration-tests --test differential)",
-            path.display()
-        )
-    });
-    let pinned: Vec<&str> = expected.lines().collect();
-    assert_eq!(
-        pinned.len(),
-        scenarios().len(),
-        "{GOLDEN} must hold one row per scenario"
-    );
-    let diverged: Vec<String> = group
-        .iter()
-        .filter_map(|sc| {
-            let actual = row(sc);
-            let key = format!("{}: ", sc.name());
-            match pinned.iter().find(|line| line.starts_with(&key)) {
-                Some(line) if *line == actual => None,
-                Some(line) => Some(format!("  pinned: {line}\n  actual: {actual}")),
-                None => Some(format!("  not pinned: {actual}")),
-            }
-        })
-        .collect();
-    assert!(
-        diverged.is_empty(),
-        "one-drive reports diverge from {GOLDEN}:\n{}",
-        diverged.join("\n")
-    );
-}
+const TABLE: Table<Scenario> = Table {
+    file: GOLDEN,
+    test: "differential",
+    all: scenarios,
+    name: Scenario::name,
+    row: |sc| {
+        let (report, trace) = run(sc);
+        pinned::row(&sc.name(), &report, &trace)
+    },
+};
 
 #[test]
 fn one_drive_multidrive_matches_engine_exactly() {
-    assert_pinned(&baseline_scenarios());
+    TABLE.assert_pinned(&baseline_scenarios());
 }
 
 #[test]
 fn one_drive_differential_holds_under_replication() {
-    assert_pinned(&replicated_scenarios());
+    TABLE.assert_pinned(&replicated_scenarios());
 }
 
 #[test]
 fn one_drive_differential_holds_under_faults() {
-    assert_pinned(&faulted_scenarios());
+    TABLE.assert_pinned(&faulted_scenarios());
 }
