@@ -3,12 +3,11 @@
 //! Dependency-free analysis utilities for the tape-jukebox experiment
 //! harnesses: summary statistics, ordinary least squares (used to recover
 //! the Figure 1 locate-model coefficients), CSV/aligned-table/ASCII-
-//! plot renderers for experiment outputs, and a minimal JSON reader.
+//! plot renderers for experiment outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod linfit;
 pub mod plot;
 pub mod stats;

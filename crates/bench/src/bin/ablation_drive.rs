@@ -10,7 +10,7 @@ use tapesim::prelude::*;
 use tapesim_bench::HarnessOpts;
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[]);
     let mut t = Table::new(["drive", "config", "KB/s", "delay s", "switches"]);
     let mut summary = Vec::new();
     for (drive_name, timing) in [

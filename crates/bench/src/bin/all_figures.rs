@@ -5,10 +5,10 @@
 //! a killed run restarted with `--resume FILE` replays the finished
 //! figures byte-for-byte and recomputes only the remainder.
 
-use tapesim_bench::{emit_figure_cached, FigureCache, HarnessOpts};
+use tapesim_bench::{emit_figure_cached, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Open, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     println!("=== Reproducing Hillyer/Rastogi/Silberschatz, ICDE 1999 ===\n");
 

@@ -16,7 +16,7 @@
 
 use tapesim::model::Micros;
 use tapesim::prelude::*;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 /// Fault intensities swept: (label, media error probability per read,
 /// whole-tape MTBF in seconds; `None` = no tape failures).
@@ -28,7 +28,7 @@ const LEVELS: [(&str, f64, Option<u64>); 4] = [
 ];
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Open, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

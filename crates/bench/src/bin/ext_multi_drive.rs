@@ -8,10 +8,10 @@
 
 use tapesim::prelude::*;
 use tapesim::sim::run_multi_drive;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();

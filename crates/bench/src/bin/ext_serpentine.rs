@@ -14,10 +14,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tapesim::model::{logical_sweep_order, nearest_neighbor_order, SerpentineModel, SlotIndex};
 use tapesim::prelude::*;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let m = SerpentineModel::dlt_like();
     let block = BlockSize::PAPER_DEFAULT;

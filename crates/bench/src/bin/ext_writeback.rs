@@ -13,10 +13,10 @@ use tapesim::prelude::*;
 use tapesim::sim::{
     run_with_writeback, run_with_writeback_traced, FlushPolicy, MemorySink, WriteBackConfig,
 };
-use tapesim_bench::{cached_csv, write_csv, write_trace, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, write_trace, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Trace, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();

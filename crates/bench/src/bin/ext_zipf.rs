@@ -14,7 +14,7 @@
 
 use tapesim::prelude::*;
 use tapesim::workload::ZipfSampler;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn run_zipf(
     placed: &tapesim::layout::PlacedCatalog,
@@ -49,7 +49,7 @@ fn run_zipf(
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let sim = opts.scale.sim_config();
     let seeds = opts.scale.seeds();

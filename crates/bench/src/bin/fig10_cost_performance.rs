@@ -9,7 +9,7 @@ use tapesim::prelude::*;
 use tapesim_bench::{write_csv, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[]);
 
     // (a) expansion factor.
     println!("Figure 10(a): storage expansion factor E = 1 + NR*PH/100\n");

@@ -2,10 +2,10 @@
 //! PH-10 RH-40 NR-0 SP-0, dynamic max-bandwidth, one curve per intensity.
 
 use tapesim::prelude::*;
-use tapesim_bench::{series_to_csv, series_to_table, write_csv, HarnessOpts};
+use tapesim_bench::{series_to_csv, series_to_table, write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig3_transfer_size(opts.scale, opts.open);
 
     // Throughput vs block size plot (x = block MB, y = KB/s).

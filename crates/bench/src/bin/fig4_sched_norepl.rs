@@ -1,10 +1,10 @@
 //! Figure 4: relative performance of scheduling algorithms without
 //! replication (FIFO, five static, five dynamic). PH-10 RH-40 NR-0 SP-0.
 
-use tapesim_bench::{emit_figure, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig4_sched_algorithms(opts.scale, opts.open);
     emit_figure(
         &opts,

@@ -1,10 +1,10 @@
 //! Figure 5: throughput and latency as a function of hot-data placement
 //! (no replication): horizontal layouts at SP 0..1 plus vertical.
 
-use tapesim_bench::{emit_figure, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig5_placement(opts.scale, opts.open);
     emit_figure(
         &opts,

@@ -1,14 +1,14 @@
 //! Figure 6: throughput and latency as a function of the number of
 //! replicas of hot data (vertical layout, replicas at the tape ends).
 
-use tapesim_bench::{emit_figure, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 #[expect(
     clippy::cast_precision_loss,
     reason = "switch counts stay far below 2^53"
 )]
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig6_replicas(opts.scale, opts.open);
     emit_figure(
         &opts,

@@ -1,10 +1,10 @@
 //! Figure 7: throughput and latency as a function of replica placement
 //! (full replication, SP from tape beginning to tape end).
 
-use tapesim_bench::{emit_figure, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig7_replica_placement(opts.scale, opts.open);
     emit_figure(
         &opts,

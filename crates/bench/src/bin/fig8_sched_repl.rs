@@ -1,10 +1,10 @@
 //! Figure 8: relative performance of scheduling algorithms with full
 //! replication at the tape ends, including the envelope variants.
 
-use tapesim_bench::{emit_figure, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig8_sched_replication(opts.scale, opts.open);
     emit_figure(
         &opts,

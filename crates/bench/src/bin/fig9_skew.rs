@@ -2,10 +2,10 @@
 //! RH 20..80 at PH-10; non-replicated (dotted in the paper) vs fully
 //! replicated (solid), max-bandwidth envelope.
 
-use tapesim_bench::{emit_figure, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open]);
     let series = tapesim::fig9_skew(opts.scale, opts.open);
     emit_figure(
         &opts,

@@ -3,10 +3,10 @@
 //! cross-library replica placement (NR ∈ {0, 1, 3}).
 
 use tapesim_bench::fleet::{default_cases, expected_rows, saturation_csv, QUEUE_LENGTH};
-use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

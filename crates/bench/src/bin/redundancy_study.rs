@@ -3,10 +3,10 @@
 //! permanent tape-loss fault axis.
 
 use tapesim_bench::redundancy::{default_schemes, expected_rows, redundancy_csv, QUEUE_LENGTH};
-use tapesim_bench::{cached_csv, write_csv, FigureCache, HarnessOpts};
+use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args_with_cache();
+    let opts = HarnessOpts::from_args(&[Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

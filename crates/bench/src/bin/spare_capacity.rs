@@ -11,7 +11,7 @@ use tapesim::prelude::*;
 use tapesim_bench::{write_csv, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[]);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();
     let seeds = opts.scale.seeds();

@@ -8,7 +8,7 @@ use tapesim::prelude::*;
 use tapesim_bench::{write_csv, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[]);
     let report = tapesim::model_validation();
 
     println!("Timing-model validation: 10 random walks x 100 locates+reads\n");

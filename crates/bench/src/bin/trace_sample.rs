@@ -19,10 +19,10 @@ use tapesim::model::FaultConfig;
 use tapesim::prelude::*;
 use tapesim::sim::trace::summarize;
 use tapesim::sim::{check_trace, run_multi_drive_traced, MemorySink};
-use tapesim_bench::{write_trace, HarnessOpts};
+use tapesim_bench::{write_trace, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let opts = HarnessOpts::from_args(&[Flag::Open, Flag::Trace]);
     let timing = TimingModel::paper_default();
     let cfg = opts.scale.sim_config();
     let placed = build_placement(

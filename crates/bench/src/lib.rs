@@ -4,33 +4,33 @@
 //!
 //! * `--scale quick|default|paper` — simulation horizon (default:
 //!   `default`, i.e. 1M simulated seconds x 3 seeds);
-//! * `--open` — run the open-queuing (Poisson) variant instead of the
-//!   closed-queuing one;
 //! * `--out DIR` — also write the CSV into `DIR` (default `results/`,
-//!   created on demand; pass `--out -` to skip writing);
-//! * `--trace FILE` — for trace-aware binaries (`trace_sample`,
-//!   `ext_writeback`), record the event trace of the representative run
-//!   as JSON Lines into `FILE` (see EXPERIMENTS.md for the schema);
+//!   created on demand; pass `--out -` to skip writing).
 //!
-//! The binaries that keep a [`FigureCache`] (`all_figures`, the `ext_*`
-//! binaries, `fleet_saturation` and `redundancy_study`) also accept:
+//! Each binary also names the optional [`Flag`]s it honours, and refuses
+//! every other one with a usage error (exit status 2) naming the flag
+//! rather than ignoring it:
 //!
+//! * `--open` — run the open-queuing (Poisson) variant instead of the
+//!   closed-queuing one: `all_figures`, `fig3`–`fig9`, `ext_faults` and
+//!   `trace_sample`;
+//! * `--trace FILE` — record the event trace of the representative run
+//!   as JSON Lines into `FILE` (see EXPERIMENTS.md for the schema):
+//!   `trace_sample` and `ext_writeback`;
 //! * `--checkpoint FILE` — record each completed figure/table into
 //!   `FILE` as it finishes, so a killed run can be resumed;
 //! * `--resume FILE` — restore completed figures/tables from `FILE`
 //!   instead of recomputing them (and keep checkpointing into the same
 //!   file unless `--checkpoint` names another one). Because every run
 //!   is deterministic, a resumed invocation writes exactly the CSVs the
-//!   uninterrupted one would have.
-//!
-//! Every other binary refuses those two flags with a usage error (exit
-//! status 2) rather than ignoring them.
+//!   uninterrupted one would have. These two keep a [`FigureCache`]:
+//!   `all_figures`, the `ext_*` binaries, `fleet_saturation` and
+//!   `redundancy_study`.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod fleet;
-pub mod perf;
 pub mod redundancy;
 
 use std::collections::BTreeMap;
@@ -53,12 +53,35 @@ pub struct HarnessOpts {
     /// Output directory for CSV files (`None` = don't write).
     pub out_dir: Option<PathBuf>,
     /// Destination for a JSONL event trace of the representative run
-    /// (`None` = tracing disabled; only trace-aware binaries honor it).
+    /// (`None` = tracing disabled).
     pub trace: Option<PathBuf>,
     /// Figure-cache file written as figures complete (`--checkpoint`).
     pub checkpoint: Option<PathBuf>,
     /// Figure-cache file restored before computing (`--resume`).
     pub resume: Option<PathBuf>,
+}
+
+/// An optional flag a figure binary may honour; every binary takes
+/// `--scale` and `--out`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--open`: the open-queuing variant.
+    Open,
+    /// `--trace FILE`: a JSONL event trace of the representative run.
+    Trace,
+    /// `--checkpoint FILE` and `--resume FILE`: the [`FigureCache`].
+    Cache,
+}
+
+impl Flag {
+    /// The flag's part of the usage line.
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Open => " [--open]",
+            Flag::Trace => " [--trace FILE]",
+            Flag::Cache => " [--checkpoint FILE] [--resume FILE]",
+        }
+    }
 }
 
 /// Why [`HarnessOpts::parse`] returned no options.
@@ -71,40 +94,28 @@ pub enum ParseStop {
 }
 
 impl HarnessOpts {
-    /// Parses `std::env::args` for a binary without a figure cache:
-    /// `--checkpoint` and `--resume` are usage errors. Exits with usage on
-    /// error.
-    pub fn from_args() -> HarnessOpts {
-        Self::from_env(false)
-    }
-
-    /// Parses `std::env::args` for a binary that keeps a [`FigureCache`],
-    /// so `--checkpoint` and `--resume` are accepted. Exits with usage on
-    /// error.
-    pub fn from_args_with_cache() -> HarnessOpts {
-        Self::from_env(true)
-    }
-
-    fn from_env(cached: bool) -> HarnessOpts {
-        match Self::parse(std::env::args().skip(1), cached) {
+    /// Parses `std::env::args` for a binary that honours the optional
+    /// flags in `accepts`. Exits with usage on `--help` (status 0) or on
+    /// an error (status 2).
+    pub fn from_args(accepts: &[Flag]) -> HarnessOpts {
+        match Self::parse(std::env::args().skip(1), accepts) {
             Ok(opts) => opts,
             Err(stop) => {
                 let (err, status) = match stop {
                     ParseStop::Help => (String::new(), 0),
                     ParseStop::Error(e) => (format!("error: {e}\n"), 2),
                 };
-                eprint!("{err}{}", usage(cached));
+                eprint!("{err}{}", usage(accepts));
                 std::process::exit(status);
             }
         }
     }
 
-    /// Parses the arguments after the program name. `cached` says whether
-    /// the binary keeps a [`FigureCache`]; without one, `--checkpoint`
-    /// and `--resume` are errors that name the flag.
+    /// Parses the arguments after the program name. An optional flag
+    /// missing from `accepts` is an error that names the flag.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
-        cached: bool,
+        accepts: &[Flag],
     ) -> Result<HarnessOpts, ParseStop> {
         let mut opts = HarnessOpts {
             scale: Scale::Default,
@@ -117,6 +128,15 @@ impl HarnessOpts {
         let err = |e: String| Err(ParseStop::Error(e));
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let flag = match a.as_str() {
+                "--open" => Some(Flag::Open),
+                "--trace" => Some(Flag::Trace),
+                "--checkpoint" | "--resume" => Some(Flag::Cache),
+                _ => None,
+            };
+            if flag.is_some_and(|f| !accepts.contains(&f)) {
+                return err(format!("{a} is not supported by this binary"));
+            }
             let mut path = |flag: &str| match args.next() {
                 Some(v) if !v.is_empty() => Ok(PathBuf::from(v)),
                 _ => Err(ParseStop::Error(format!("{flag} needs a file path"))),
@@ -139,11 +159,6 @@ impl HarnessOpts {
                         Some(PathBuf::from(v))
                     };
                 }
-                "--checkpoint" | "--resume" if !cached => {
-                    return err(format!(
-                        "{a} is not supported: this binary keeps no figure cache"
-                    ));
-                }
                 "--checkpoint" => opts.checkpoint = Some(path("--checkpoint")?),
                 "--resume" => opts.resume = Some(path("--resume")?),
                 "--help" | "-h" => return Err(ParseStop::Help),
@@ -163,17 +178,10 @@ impl HarnessOpts {
     }
 }
 
-/// The usage line, with the figure-cache flags only where they apply.
-fn usage(cached: bool) -> String {
-    format!(
-        "usage: <figure-binary> [--scale quick|default|paper] [--open] [--out DIR|-] \
-         [--trace FILE]{}\n",
-        if cached {
-            " [--checkpoint FILE] [--resume FILE]"
-        } else {
-            ""
-        }
-    )
+/// The usage line, listing only the optional flags in `accepts`.
+fn usage(accepts: &[Flag]) -> String {
+    let optional: String = accepts.iter().map(|f| f.usage()).collect();
+    format!("usage: <figure-binary> [--scale quick|default|paper] [--out DIR|-]{optional}\n")
 }
 
 /// Figure-level checkpoint cache behind `--checkpoint` / `--resume`.
@@ -609,35 +617,63 @@ mod tests {
         assert_eq!(resumed.get("fig4_closed"), Some(CSV_A));
     }
 
-    fn parse(args: &[&str], cached: bool) -> Result<HarnessOpts, ParseStop> {
-        HarnessOpts::parse(args.iter().map(|a| (*a).to_string()), cached)
+    const ALL: [Flag; 3] = [Flag::Open, Flag::Trace, Flag::Cache];
+
+    fn parse(args: &[&str], accepts: &[Flag]) -> Result<HarnessOpts, ParseStop> {
+        HarnessOpts::parse(args.iter().map(|a| (*a).to_string()), accepts)
     }
 
     #[test]
     fn cache_flags_are_errors_where_no_cache_is_kept() {
         for flag in ["--checkpoint", "--resume"] {
-            match parse(&["--scale", "quick", flag, "f.ckpt"], false) {
+            match parse(
+                &["--scale", "quick", flag, "f.ckpt"],
+                &[Flag::Open, Flag::Trace],
+            ) {
                 Err(ParseStop::Error(e)) => assert!(e.contains(flag), "{e}"),
                 other => panic!("{flag} accepted without a cache: {other:?}"),
             }
         }
-        let opts = parse(&["--checkpoint", "a", "--resume", "b"], true).unwrap();
+        let opts = parse(&["--checkpoint", "a", "--resume", "b"], &[Flag::Cache]).unwrap();
         assert_eq!(opts.checkpoint, Some(PathBuf::from("a")));
         assert_eq!(opts.resume, Some(PathBuf::from("b")));
-        assert!(!usage(false).contains("--resume"));
-        assert!(usage(true).contains("--resume"));
+        assert!(!usage(&[Flag::Open, Flag::Trace]).contains("--resume"));
+        assert!(usage(&[Flag::Cache]).contains("--resume"));
+    }
+
+    #[test]
+    fn open_and_trace_are_errors_where_not_honoured() {
+        for (args, flag) in [
+            (&["--open"][..], Flag::Open),
+            (&["--trace", "t.jsonl"], Flag::Trace),
+        ] {
+            let others: Vec<Flag> = ALL.into_iter().filter(|f| *f != flag).collect();
+            match parse(args, &others) {
+                Err(ParseStop::Error(e)) => assert!(e.contains(args[0]), "{e}"),
+                other => panic!("{} accepted: {other:?}", args[0]),
+            }
+            assert!(!usage(&others).contains(args[0]));
+            assert!(usage(&[flag]).contains(args[0]));
+            assert!(parse(args, &[flag]).is_ok());
+        }
+        assert_eq!(
+            usage(&[]),
+            "usage: <figure-binary> [--scale quick|default|paper] [--out DIR|-]\n"
+        );
     }
 
     #[test]
     fn other_flags_parse_or_stop() {
-        let opts = parse(&["--scale", "paper", "--open", "--out", "-"], false).unwrap();
+        let opts = parse(&["--scale", "paper", "--open", "--out", "-"], &[Flag::Open]).unwrap();
         assert_eq!(opts.scale, Scale::Paper);
         assert!(opts.open && opts.out_dir.is_none());
         assert_eq!(
-            parse(&["--trace", "t.jsonl"], false).unwrap().trace,
+            parse(&["--trace", "t.jsonl"], &[Flag::Trace])
+                .unwrap()
+                .trace,
             Some(PathBuf::from("t.jsonl"))
         );
-        assert_eq!(parse(&["-h"], true).unwrap_err(), ParseStop::Help);
+        assert_eq!(parse(&["-h"], &ALL).unwrap_err(), ParseStop::Help);
         for bad in [
             &["--scale", "bogus"][..],
             &["--trace"],
@@ -645,7 +681,7 @@ mod tests {
             &["--x"],
         ] {
             assert!(
-                matches!(parse(bad, true), Err(ParseStop::Error(_))),
+                matches!(parse(bad, &ALL), Err(ParseStop::Error(_))),
                 "{bad:?}"
             );
         }
@@ -664,6 +700,103 @@ mod tests {
             assert!(parse_figure_cache(&text, META).is_err(), "{what}");
         }
         assert!(parse_figure_cache("", META).is_err(), "missing =meta");
+    }
+
+    /// Every figure `parsed` restores is a whole `=figure … =endfigure`
+    /// section of `text`, as the parser reads its lines.
+    fn restores_only_whole_sections(text: &str, parsed: &BTreeMap<String, String>) -> bool {
+        let lines: String = text.lines().map(|l| format!("\n{l}")).collect::<String>() + "\n";
+        parsed
+            .iter()
+            .all(|(name, csv)| lines.contains(&format!("\n=figure {name}\n{csv}=endfigure\n")))
+    }
+
+    /// A run of cache lines: a whole section, a blank, or one line that
+    /// may break the file.
+    fn cache_chunk(kind: u64) -> String {
+        match kind % 4 {
+            0 | 1 => {
+                let rows: String = (0..kind / 4 % 3)
+                    .map(|r| cache_line(7 + r % 2) + "\n")
+                    .collect();
+                format!("=figure fig{}_closed\n{rows}=endfigure", kind / 12 % 3)
+            }
+            2 => String::new(),
+            _ => cache_line(kind / 4),
+        }
+    }
+
+    /// One line of a cache: a marker, a CSV row, a blank or junk.
+    fn cache_line(kind: u64) -> String {
+        match kind % 12 {
+            0 => format!("=meta {META}"),
+            1 => "=meta scale=Default open=false".to_owned(),
+            2..=4 => format!("=figure fig{}_closed", kind % 3),
+            5 | 6 => "=endfigure".to_owned(),
+            7 => "series,queue_length".to_owned(),
+            8 => format!("envelope,{}", kind % 140),
+            9 => String::new(),
+            10 => "=figure".to_owned(),
+            _ => "=endfigure trailing".to_owned(),
+        }
+    }
+
+    proptest::proptest! {
+        /// Input not derived from a cache file never panics the parser,
+        /// and whatever parses restores only whole sections: random
+        /// bytes behind a valid `=meta` line, and random mixes of whole
+        /// sections, markers, rows, blanks and junk, with and without a
+        /// valid `=meta` line.
+        #[test]
+        fn random_caches_restore_only_whole_sections(
+            bytes in proptest::collection::vec(0u16..256, 0..200),
+            chunks in proptest::collection::vec(0u64..1_000, 0..8),
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| u8::try_from(b).unwrap()).collect();
+            let random = format!("=meta {META}\n{}", String::from_utf8_lossy(&bytes));
+            let mixed: String = chunks.iter().map(|&k| cache_chunk(k) + "\n").collect();
+            for text in [&random, &mixed, &format!("=meta {META}\n{mixed}")] {
+                if let Ok(map) = parse_figure_cache(text, META) {
+                    proptest::prop_assert!(restores_only_whole_sections(text, &map), "{text}");
+                }
+            }
+        }
+
+        /// A real cache with lines inserted, deleted or duplicated at
+        /// random never panics the parser, and whatever parses restores
+        /// only whole sections of the mutated text.
+        #[test]
+        fn mutated_caches_restore_only_whole_sections(
+            edits in proptest::collection::vec((0u64..3, 0usize..64, 0u64..1_000), 1..6),
+        ) {
+            let mut cache = FigureCache {
+                write_path: None,
+                meta: META.to_string(),
+                done: BTreeMap::new(),
+            };
+            cache.record("fig4_closed", CSV_A);
+            cache.record("fig6_closed", CSV_B);
+            cache.record("fig8_closed", CSV_B);
+            let mut lines: Vec<String> = cache.to_text().lines().map(str::to_owned).collect();
+            for (op, at, kind) in edits {
+                let at = at % (lines.len() + 1);
+                match op {
+                    0 => lines.insert(at, cache_line(kind)),
+                    _ if lines.is_empty() => {}
+                    1 => {
+                        lines.remove(at % lines.len());
+                    }
+                    _ => {
+                        let line = lines[at % lines.len()].clone();
+                        lines.insert(at % lines.len(), line);
+                    }
+                }
+            }
+            let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            if let Ok(map) = parse_figure_cache(&text, META) {
+                proptest::prop_assert!(restores_only_whole_sections(&text, &map), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,23 @@
-//! The figure binaries' flag handling, run as processes: a binary that
-//! keeps no figure cache stops at `--checkpoint` or `--resume` with a
-//! usage error (exit status 2) naming the flag, before any simulation;
-//! one that keeps a cache lists both flags in its usage.
+//! The figure binaries' flag handling, run as processes: a binary stops
+//! at an optional flag it does not honour (`--checkpoint` or `--resume`
+//! without a figure cache, `--trace` without a traced run, `--open`
+//! without an open-queuing variant) with a usage error (exit status 2)
+//! naming the flag, before any simulation; one that keeps a cache lists
+//! both cache flags in its usage.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Asserts that `out` is a refusal of `flag` before anything ran.
+fn assert_refused(out: &Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+    assert!(stderr.contains(flag), "{flag}: {stderr}");
+    assert!(
+        !stderr.contains(&format!("[{flag}")),
+        "usage lists {flag}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{flag}: ran before refusing");
+}
 
 #[test]
 fn uncached_binary_refuses_cache_flags_with_status_2() {
@@ -12,11 +26,32 @@ fn uncached_binary_refuses_cache_flags_with_status_2() {
             .args(["--scale", "quick", "--out", "-", flag, "figs.ckpt"])
             .output()
             .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
-        assert!(stderr.contains(flag), "{flag}: {stderr}");
-        assert!(out.stdout.is_empty(), "{flag}: ran before refusing");
+        assert_refused(&out, flag);
     }
+}
+
+#[test]
+fn untraced_binary_refuses_trace_and_writes_no_file() {
+    let trace = std::env::temp_dir().join(format!("tapesim-refused-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&trace);
+    let out = Command::new(env!("CARGO_BIN_EXE_fig4_sched_norepl"))
+        .args(["--scale", "quick", "--out", "-", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    let written = trace.exists();
+    let _ = std::fs::remove_file(&trace);
+    assert_refused(&out, "--trace");
+    assert!(!written, "a refused --trace wrote {}", trace.display());
+}
+
+#[test]
+fn binary_without_open_variant_refuses_open() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig1_locate_model"))
+        .args(["--scale", "quick", "--out", "-", "--open"])
+        .output()
+        .unwrap();
+    assert_refused(&out, "--open");
 }
 
 #[test]

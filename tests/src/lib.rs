@@ -12,6 +12,8 @@
 
 #![forbid(unsafe_code)]
 
+/// The JSON reader behind [`lint_check`].
+mod json;
 pub mod lint_check;
 pub mod pinned;
 
@@ -49,5 +51,19 @@ pub fn light_faults() -> FaultConfig {
         drive_mtbf: Some(Micros::from_secs(250_000)),
         drive_mttr: Micros::from_secs(4_000),
         copy_heal_mttr: Some(Micros::from_secs(8_000)),
+    }
+}
+
+/// A seeded SplitMix64 stream, started from `seed | 1`: the block draws
+/// of the pinned external-arrival scenarios and the input builders of
+/// the parser properties.
+pub fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 }

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use tapesim::analysis::json::{get, get_str, get_u64, JsonValue};
+use crate::json::{get, get_str, get_u64, JsonValue};
 
 /// The workspace root: the parent of this package.
 pub fn workspace_root() -> PathBuf {

@@ -27,6 +27,8 @@
 //! in the seed spread of `X` (Jensen). On the committed data the tightest
 //! row uses 8.7% of its bound (largest deviation 0.88%, RH-80 replicated
 //! at queue 140), so that term does not decide any row.
+//! `tests/tests/matrix_reports.rs` applies the same bound to single runs,
+//! where it needs no such caveat.
 //!
 //! Figure 3 is left out: its block size varies.
 

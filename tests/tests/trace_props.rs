@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use integration_tests::splitmix;
 use proptest::prelude::*;
 
 use tapesim::layout::{build_placement, PlacementConfig, PlacementScheme};
@@ -233,6 +234,202 @@ proptest! {
                 let written = jsonl::to_jsonl_string(&records);
                 prop_assert_eq!(fields_by_value(&written), fields_by_value(text));
             }
+        }
+    }
+}
+
+/// Every key of the trace schema, and every event kind.
+const KEYS: [&str; 21] = [
+    "seq",
+    "t_us",
+    "drive",
+    "ev",
+    "req",
+    "block",
+    "tape",
+    "inserted",
+    "stops",
+    "reqs",
+    "phase",
+    "from",
+    "to",
+    "dur_us",
+    "slot",
+    "delay_us",
+    "from_tape",
+    "to_tape",
+    "robot",
+    "blocks",
+    "piggyback",
+];
+const KINDS: [&str; 22] = [
+    "arrival",
+    "incremental",
+    "sweep_start",
+    "phase_start",
+    "locate",
+    "read",
+    "rewind",
+    "unmount",
+    "mount",
+    "sweep_end",
+    "complete",
+    "idle",
+    "media_error",
+    "copy_lost",
+    "load_failed",
+    "tape_offline",
+    "drive_repair",
+    "request_failed",
+    "failover",
+    "robot_busy",
+    "robot_exchange",
+    "delta_flush",
+];
+
+/// A well-typed value for `key`: the values a valid line carries.
+fn typed_value(key: &str, x: u64) -> String {
+    match key {
+        "ev" => format!("\"{}\"", KINDS[(x % 22) as usize]),
+        "phase" => ["\"forward\"", "\"reverse\""][(x % 2) as usize].to_owned(),
+        "inserted" | "piggyback" => ["true", "false"][(x % 2) as usize].to_owned(),
+        _ => (x % 1_000).to_string(),
+    }
+}
+
+/// A well-formed value that may still be refused: signed, zero-padded or
+/// quoted integers, and integers at and past the 16-, 32- and 64-bit
+/// limits the fields are narrowed to.
+fn edge_value(x: u64) -> String {
+    match x % 9 {
+        0 => format!("+{}", x % 100),
+        1 => format!("00{}", x % 100),
+        2 => "65535".to_owned(),
+        3 => "65536".to_owned(),
+        4 => "4294967295".to_owned(),
+        5 => "4294967296".to_owned(),
+        6 => "18446744073709551615".to_owned(),
+        7 => "18446744073709551616".to_owned(),
+        _ => format!("\"{}\"", x % 100),
+    }
+}
+
+/// A malformed value, or one of the wrong type.
+fn hostile_value(x: u64) -> String {
+    match x % 8 {
+        0 => String::new(),
+        1 => "\"\"".to_owned(),
+        2 => "-1".to_owned(),
+        3 => "1.5".to_owned(),
+        4 => "\"unterminated".to_owned(),
+        5 => format!("\"{}\"", KINDS[((x >> 3) % 22) as usize]),
+        6 => "{}".to_owned(),
+        _ => "true".to_owned(),
+    }
+}
+
+/// One line of a trace, built from `seed` alone: `kind` 0 is a complete
+/// well-typed line, 1 the same with one value at an edge, 2 with one key
+/// dropped or one value malformed, 3 random keys with random values, and
+/// 4 structural junk.
+fn trace_line(kind: usize, seed: u64) -> String {
+    let mut next = splitmix(seed);
+    let field = |k: &str, v: &str| format!("\"{k}\":{v}");
+    let fields: Vec<String> = match kind {
+        0..=2 => {
+            let spoil = (next() % KEYS.len() as u64) as usize;
+            let drop = kind == 2 && next() & 1 == 0;
+            KEYS.iter()
+                .enumerate()
+                .filter(|&(i, _)| i != spoil || !drop)
+                .map(|(i, k)| {
+                    let x = next();
+                    match kind {
+                        1 if i == spoil => field(k, &edge_value(x)),
+                        2 if i == spoil => field(k, &hostile_value(x)),
+                        _ => field(k, &typed_value(k, x)),
+                    }
+                })
+                .collect()
+        }
+        3 => (0..next() % 24)
+            .map(|_| {
+                let key = KEYS[(next() % KEYS.len() as u64) as usize];
+                let x = next();
+                match x % 3 {
+                    0 => field(key, &hostile_value(x >> 2)),
+                    1 => field(key, &edge_value(x >> 2)),
+                    _ => field(key, &typed_value(key, x >> 2)),
+                }
+            })
+            .collect(),
+        _ => {
+            let junk = [
+                "{", "}", "\"", ":", ",", " ", "seq", "ev", "7", "\r", "\t", "é",
+            ];
+            return (0..next() % 40)
+                .map(|_| junk[(next() % junk.len() as u64) as usize])
+                .collect();
+        }
+    };
+    format!("{{{}}}", fields.join(","))
+}
+
+/// Whatever parses re-serializes to what was parsed: the written trace
+/// parses back to the same records, and every field it writes has the
+/// value the input line gave it (integers compared by value; the parser
+/// ignores keys outside an event's schema).
+fn check_round_trip(text: &str) -> Result<(), proptest::test_runner::TestCaseError> {
+    let Ok(records) = jsonl::parse_records(text) else {
+        return Ok(());
+    };
+    let written = jsonl::to_jsonl_string(&records);
+    prop_assert_eq!(jsonl::parse_records(&written), Ok(records));
+    let (out, input) = (fields_by_value(&written), fields_by_value(text));
+    prop_assert_eq!(out.len(), input.len());
+    for (line, (out, input)) in out.iter().zip(&input).enumerate() {
+        for (key, value) in out {
+            prop_assert!(
+                input.get(key) == Some(value),
+                "line {}: wrote {key}={value}, parsed {:?}",
+                line + 1,
+                input.get(key)
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Input not derived from any valid trace never panics the parser:
+    /// random bytes, and random mixes of complete, edge, spoiled, random
+    /// and junk lines, each line also on its own. Complete well-typed
+    /// lines always parse, and whatever parses round-trips through the
+    /// writer.
+    #[test]
+    fn random_traces_parse_or_error_and_round_trip(
+        bytes in proptest::collection::vec(0u16..256, 0..200),
+        lines in proptest::collection::vec((0usize..5, 0u64..u64::MAX), 0..12),
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| u8::try_from(b).unwrap()).collect();
+        let random = String::from_utf8_lossy(&bytes).into_owned();
+        let text = |keep: fn(usize) -> bool| -> String {
+            lines
+                .iter()
+                .filter(|&&(kind, _)| keep(kind))
+                .map(|&(kind, seed)| trace_line(kind, seed) + "\n")
+                .collect()
+        };
+        let (mixed, complete) = (text(|_| true), text(|kind| kind == 0));
+        prop_assert!(
+            jsonl::parse_records(&complete).is_ok(),
+            "complete well-typed lines refused: {complete}"
+        );
+        for text in [&random, &mixed, &complete] {
+            check_round_trip(text)?;
+        }
+        for &(kind, seed) in &lines {
+            check_round_trip(&trace_line(kind, seed))?;
         }
     }
 }
