@@ -192,7 +192,10 @@ fn usage(accepts: &[Flag]) -> String {
 /// the cached figures byte-for-byte and recomputes only the rest. The
 /// file format is plain text — a `=meta` line pinning the scale and
 /// variant (a checkpoint from a different scale is refused), then one
-/// `=figure <name>` … `=endfigure` section per finished figure.
+/// `=figure <name>` … `=endfigure <checksum>` section per finished
+/// figure. The checksum is a 64-bit FNV-1a of the section's name and
+/// rows, so a cache with a row deleted, duplicated or edited inside a
+/// section is refused like any other malformed cache.
 #[derive(Debug)]
 pub struct FigureCache {
     write_path: Option<PathBuf>,
@@ -271,10 +274,22 @@ impl FigureCache {
     fn to_text(&self) -> String {
         let mut out = format!("=meta {}\n", self.meta);
         for (k, v) in &self.done {
-            out.push_str(&format!("=figure {k}\n{v}=endfigure\n"));
+            out.push_str(&format!("=figure {k}\n{v}{}\n", end_line(k, v)));
         }
         out
     }
+}
+
+/// The line closing the section of figure `name` with rows `csv`: the
+/// `=endfigure` marker and the section's checksum, a 64-bit FNV-1a of
+/// the name line and the rows.
+fn end_line(name: &str, csv: &str) -> String {
+    let sum = format!("{name}\n{csv}")
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+    format!("=endfigure {sum:016x}")
 }
 
 /// Writes `text` to `path` atomically and durably: the text goes to a
@@ -322,8 +337,11 @@ fn parse_figure_cache(text: &str, expect_meta: &str) -> Result<BTreeMap<String, 
                 return Err("nested =figure section".into());
             }
             cur = Some((name.to_string(), String::new()));
-        } else if line == "=endfigure" {
+        } else if line == "=endfigure" || line.starts_with("=endfigure ") {
             let (name, csv) = cur.take().ok_or("=endfigure without =figure")?;
+            if line != end_line(&name, &csv) {
+                return Err(format!("figure {name} fails its checksum"));
+            }
             done.insert(name, csv);
         } else if let Some((_, csv)) = &mut cur {
             csv.push_str(line);
@@ -583,7 +601,7 @@ mod tests {
         assert_eq!(same.get("fig4_closed"), Some(CSV_A));
         assert_eq!(other_scale.get("fig4_closed"), None);
         assert_eq!(other_variant.get("fig4_closed"), None);
-        let text = format!("=meta {META}\n=figure f\n{CSV_A}=endfigure\n");
+        let text = format!("=meta {META}\n=figure f\n{CSV_A}{}\n", end_line("f", CSV_A));
         assert!(parse_figure_cache(&text, META).is_ok());
         assert!(parse_figure_cache(&text, "scale=Default open=false").is_err());
         assert!(parse_figure_cache(&text, "scale=Quick open=true").is_err());
@@ -689,16 +707,34 @@ mod tests {
 
     #[test]
     fn malformed_sections_are_errors() {
+        let end = end_line("f", "a,b\n");
         for (body, what) in [
-            ("=figure f\na,b\n", "missing =endfigure"),
-            ("=figure f\n=figure g\na,b\n=endfigure\n", "nested =figure"),
-            ("stray\n=figure f\na,b\n=endfigure\n", "stray line before"),
-            ("=figure f\na,b\n=endfigure\nstray\n", "stray line after"),
-            ("=endfigure\n", "=endfigure without =figure"),
+            ("=figure f\na,b\n".to_owned(), "missing =endfigure"),
+            (
+                format!("=figure f\n=figure g\na,b\n{end}\n"),
+                "nested =figure",
+            ),
+            (
+                format!("stray\n=figure f\na,b\n{end}\n"),
+                "stray line before",
+            ),
+            (
+                format!("=figure f\na,b\n{end}\nstray\n"),
+                "stray line after",
+            ),
+            (format!("{end}\n"), "=endfigure without =figure"),
+            ("=figure f\na,b\n=endfigure\n".to_owned(), "no checksum"),
+            (format!("=figure f\na,c\n{end}\n"), "row edited"),
+            (format!("=figure g\na,b\n{end}\n"), "section renamed"),
         ] {
             let text = format!("=meta {META}\n{body}");
             assert!(parse_figure_cache(&text, META).is_err(), "{what}");
         }
+        let text = format!("=meta {META}\n=figure f\na,b\n{end}\n");
+        assert!(
+            parse_figure_cache(&text, META).is_ok(),
+            "the unedited section"
+        );
         assert!(parse_figure_cache("", META).is_err(), "missing =meta");
     }
 
@@ -706,9 +742,9 @@ mod tests {
     /// section of `text`, as the parser reads its lines.
     fn restores_only_whole_sections(text: &str, parsed: &BTreeMap<String, String>) -> bool {
         let lines: String = text.lines().map(|l| format!("\n{l}")).collect::<String>() + "\n";
-        parsed
-            .iter()
-            .all(|(name, csv)| lines.contains(&format!("\n=figure {name}\n{csv}=endfigure\n")))
+        parsed.iter().all(|(name, csv)| {
+            lines.contains(&format!("\n=figure {name}\n{csv}{}\n", end_line(name, csv)))
+        })
     }
 
     /// A run of cache lines: a whole section, a blank, or one line that
@@ -719,7 +755,8 @@ mod tests {
                 let rows: String = (0..kind / 4 % 3)
                     .map(|r| cache_line(7 + r % 2) + "\n")
                     .collect();
-                format!("=figure fig{}_closed\n{rows}=endfigure", kind / 12 % 3)
+                let name = format!("fig{}_closed", kind / 12 % 3);
+                format!("=figure {name}\n{rows}{}", end_line(&name, &rows))
             }
             2 => String::new(),
             _ => cache_line(kind / 4),
@@ -763,8 +800,8 @@ mod tests {
         }
 
         /// A real cache with lines inserted, deleted or duplicated at
-        /// random never panics the parser, and whatever parses restores
-        /// only whole sections of the mutated text.
+        /// random never panics the parser, and every figure it restores
+        /// is the CSV recorded under that name.
         #[test]
         fn mutated_caches_restore_only_whole_sections(
             edits in proptest::collection::vec((0u64..3, 0usize..64, 0u64..1_000), 1..6),
@@ -794,7 +831,9 @@ mod tests {
             }
             let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
             if let Ok(map) = parse_figure_cache(&text, META) {
-                proptest::prop_assert!(restores_only_whole_sections(&text, &map), "{text}");
+                for (name, csv) in &map {
+                    proptest::prop_assert_eq!(cache.done.get(name), Some(csv), "{}", text);
+                }
             }
         }
     }

@@ -9,8 +9,8 @@
 //! with incremental scheduling of arrivals, idle wait) for each of one or
 //! more drives, against any [`tapesim_sched::Scheduler`], a
 //! [`tapesim_layout::Catalog`], and a [`tapesim_workload::RequestFactory`].
-//! One drive is the paper's configuration. [`writeback`] keeps its own
-//! single-drive core for the delta-destage extension.
+//! One drive is the paper's configuration. [`writeback`] attaches delta
+//! destage to the same core as background work.
 //! [`metrics`] collects throughput/delay/switch statistics over a
 //! measurement window, and [`runner`] averages runs across seeds in
 //! parallel. [`trace`] records the per-event timeline of a run (mounts,

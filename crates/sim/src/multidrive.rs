@@ -50,6 +50,15 @@
 //! random numbers are drawn and the run is identical to
 //! [`run_multi_drive`].
 //!
+//! # Write-back
+//!
+//! A write-back run ([`crate::writeback`]) attaches delta destage as a
+//! background work source. Due writes are buffered at every dispatch; a
+//! sweep that ends on a tape owed enough deltas appends them before the
+//! drive reschedules; and a drive with no read to serve flushes a
+//! buffered batch to the tape owed the most, through the same mount path
+//! as a sweep, or idles until the write that completes a batch.
+//!
 //! # Stepped core
 //!
 //! The event loop itself lives in [`SteppedMultiDrive`], a poll-driven
@@ -80,6 +89,7 @@ use crate::metrics::{MetricsCollector, MetricsReport};
 use crate::stepped::{CheckpointOpts, EngineEvent, StepOutcome};
 use crate::trace::{NullSink, TraceEvent, TraceSink, Tracer, SYSTEM_DRIVE};
 use crate::trace_event;
+use crate::writeback::DeltaDestage;
 
 /// Configuration of a single simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -371,6 +381,9 @@ pub struct SteppedMultiDrive<'a> {
     next_ext_id: u64,
     last_submit_at: SimTime,
     events: Vec<EngineEvent>,
+    /// Delta destage, the background work of a write-back run (see
+    /// [`crate::writeback`]); `None` for read-only runs.
+    pub(crate) destage: Option<DeltaDestage>,
 }
 
 impl<'a> SteppedMultiDrive<'a> {
@@ -621,6 +634,7 @@ impl<'a> SteppedMultiDrive<'a> {
             next_ext_id: 0,
             last_submit_at: SimTime::ZERO,
             events: Vec::new(),
+            destage: None,
         };
 
         // Seed the workload.
@@ -933,6 +947,197 @@ impl<'a> SteppedMultiDrive<'a> {
             .exchange()
     }
 
+    /// Mounts `tape` in drive `d`, for a sweep or an idle flush: rewind
+    /// and eject the tape it holds, then the (shared) robot exchange, then
+    /// load. Each failed load attempt costs another robot exchange + load;
+    /// exhausting the retries fails the tape itself. The drive is free
+    /// again once the tape is ready. Returns false when the tape failed on
+    /// load, leaving the drive empty.
+    fn mount(&mut self, d: usize, tape: TapeId) -> bool {
+        let mut t = self.now;
+        let mut rewind = Micros::ZERO;
+        if let Some(old) = self.states[d].mounted {
+            rewind = self.timing.drive.rewind(self.states[d].head, self.block);
+            trace_event!(
+                self.tracer,
+                self.now + rewind,
+                d as u16,
+                TraceEvent::Rewind {
+                    tape: old,
+                    from: self.states[d].head,
+                    dur: rewind,
+                }
+            );
+            trace_event!(
+                self.tracer,
+                self.now + rewind,
+                d as u16,
+                TraceEvent::Unmount { tape: old }
+            );
+            t = t + rewind + self.timing.drive.eject();
+        }
+        // Destination arm: the earliest-free arm in this drive's library
+        // (robot 0 for legacy topologies, where the arithmetic below
+        // reduces statement for statement to the historical single-clock
+        // form).
+        let lib = self.drive_lib[d];
+        let r_dst = self.pick_robot(lib);
+        let exchange = self.lib_exchange(lib);
+        let mut start = t.max(self.robots_free[r_dst]);
+        let mut transfer = Micros::ZERO;
+        let mut r_src = None;
+        if self.fleet {
+            let tape_lib = self.topology.library_of_tape(tape);
+            if tape_lib != lib {
+                // Cross-library mount: the home library's arm must export
+                // the tape into the pass-through port before the
+                // destination arm can import and exchange it.
+                let src = self.pick_robot(tape_lib);
+                start = start.max(self.robots_free[src]);
+                transfer = self.topology.transfer_penalty(lib, tape_lib);
+                r_src = Some(src);
+            }
+            let wait = start.duration_since(t);
+            if wait > Micros::ZERO {
+                trace_event!(
+                    self.tracer,
+                    start,
+                    d as u16,
+                    TraceEvent::RobotBusy {
+                        robot: r_dst as u16,
+                        dur: wait,
+                    }
+                );
+            }
+        }
+        if let Some(src) = r_src {
+            // The source arm is busy for the export leg only; the
+            // pass-through walk and import charge the destination arm
+            // below.
+            let export = Micros::from_secs_f64(self.topology.interlib.export_s);
+            self.robots_free[src] = start + export;
+            trace_event!(
+                self.tracer,
+                start + export,
+                d as u16,
+                TraceEvent::RobotExchange {
+                    robot: src as u16,
+                    tape,
+                    dur: export,
+                }
+            );
+        }
+        self.robots_free[r_dst] = start + transfer + exchange;
+        if self.fleet {
+            trace_event!(
+                self.tracer,
+                self.robots_free[r_dst],
+                d as u16,
+                TraceEvent::RobotExchange {
+                    robot: r_dst as u16,
+                    tape,
+                    dur: transfer + exchange,
+                }
+            );
+        }
+        let mut ready = self.robots_free[r_dst] + self.timing.drive.load();
+        let mut tape_failed_on_load = false;
+        if self.injector.is_active() {
+            let mut tries = 0u32;
+            while self.injector.load_fails() {
+                if tries >= self.faults.load_retries {
+                    tape_failed_on_load = true;
+                    break;
+                }
+                tries += 1;
+                // Retries stay on the same arm: the tape is already at the
+                // destination library.
+                self.robots_free[r_dst] = ready.max(self.robots_free[r_dst]) + exchange;
+                if self.fleet {
+                    trace_event!(
+                        self.tracer,
+                        self.robots_free[r_dst],
+                        d as u16,
+                        TraceEvent::RobotExchange {
+                            robot: r_dst as u16,
+                            tape,
+                            dur: exchange,
+                        }
+                    );
+                }
+                ready = self.robots_free[r_dst] + self.timing.drive.load();
+            }
+        }
+        self.metrics
+            .add_switch_time(ready, ready.duration_since(self.now));
+        self.metrics.record_tape_switch(ready);
+        if tape_failed_on_load {
+            self.injector.force_tape_failure(tape, ready);
+            trace_event!(
+                self.tracer,
+                ready,
+                d as u16,
+                TraceEvent::LoadFailed {
+                    tape,
+                    dur: ready.duration_since(self.now) - rewind,
+                }
+            );
+            trace_event!(
+                self.tracer,
+                ready,
+                d as u16,
+                TraceEvent::TapeOffline { tape }
+            );
+            self.states[d].mounted = None;
+            self.states[d].head = SlotIndex::BOT;
+            self.states[d].free_at = ready;
+            return false;
+        }
+        trace_event!(
+            self.tracer,
+            ready,
+            d as u16,
+            TraceEvent::Mount {
+                tape,
+                dur: ready.duration_since(self.now) - rewind,
+            }
+        );
+        self.states[d].mounted = Some(tape);
+        self.states[d].head = SlotIndex::BOT;
+        self.states[d].free_at = ready;
+        true
+    }
+
+    /// Destages the deltas owed to `tape`, mounted in drive `d`, from the
+    /// instant the drive is free; the drive is busy until the last write
+    /// ends.
+    fn destage(&mut self, d: usize, tape: TapeId, piggyback: bool) {
+        let Some(source) = self.destage.as_mut() else {
+            return;
+        };
+        let start = self.states[d].free_at.max(self.now);
+        let state = &mut self.states[d];
+        let (done, blocks) = source.flush(
+            tape,
+            piggyback,
+            &mut state.head,
+            start,
+            self.timing,
+            self.block,
+        );
+        state.free_at = done;
+        trace_event!(
+            self.tracer,
+            done,
+            d as u16,
+            TraceEvent::DeltaFlush {
+                tape,
+                blocks,
+                piggyback,
+            }
+        );
+    }
+
     /// One full drive-dispatch event, translated statement for statement
     /// from the monolithic `'outer` loop this engine used to be.
     #[expect(
@@ -1122,6 +1327,9 @@ impl<'a> SteppedMultiDrive<'a> {
             } else {
                 self.pending.push(q.req);
             }
+        }
+        if let Some(source) = self.destage.as_mut() {
+            source.deliver(self.now);
         }
         if self.pending.len() > self.cfg.max_pending {
             self.saturated = true;
@@ -1350,6 +1558,7 @@ impl<'a> SteppedMultiDrive<'a> {
         }
 
         // Sweep finished (or never started): clear it and reschedule.
+        self.states[d].cur_phase = None;
         if let Some(p) = self.states[d].plan.take() {
             trace_event!(
                 self.tracer,
@@ -1357,8 +1566,16 @@ impl<'a> SteppedMultiDrive<'a> {
                 d as u16,
                 TraceEvent::SweepEnd { tape: p.tape }
             );
+            // Piggyback: the tape is still mounted; append its deltas.
+            if self
+                .destage
+                .as_ref()
+                .is_some_and(|s| s.piggyback_due(p.tape))
+            {
+                self.destage(d, p.tape, true);
+                return Ok(());
+            }
         }
-        self.states[d].cur_phase = None;
         tapes_held_except_into(&self.states, d, &mut self.unavailable_buf);
         let view = JukeboxView {
             catalog: self.catalog,
@@ -1389,168 +1606,21 @@ impl<'a> SteppedMultiDrive<'a> {
                         requests: plan.list.requests() as u32,
                     }
                 );
-                if self.states[d].mounted != Some(plan.tape) {
-                    // Rewind + eject locally, then the (shared) robot
-                    // exchange, then load. Each failed load attempt costs
-                    // another robot exchange + load; exhausting the
-                    // retries fails the tape itself.
-                    let mut t = self.now;
-                    let mut rewind = Micros::ZERO;
-                    if let Some(old) = self.states[d].mounted {
-                        rewind = self.timing.drive.rewind(self.states[d].head, self.block);
-                        trace_event!(
-                            self.tracer,
-                            self.now + rewind,
-                            d as u16,
-                            TraceEvent::Rewind {
-                                tape: old,
-                                from: self.states[d].head,
-                                dur: rewind,
-                            }
-                        );
-                        trace_event!(
-                            self.tracer,
-                            self.now + rewind,
-                            d as u16,
-                            TraceEvent::Unmount { tape: old }
-                        );
-                        t = t + rewind + self.timing.drive.eject();
-                    }
-                    // Destination arm: the earliest-free arm in this
-                    // drive's library (robot 0 for legacy topologies,
-                    // where the arithmetic below reduces statement for
-                    // statement to the historical single-clock form).
-                    let lib = self.drive_lib[d];
-                    let r_dst = self.pick_robot(lib);
-                    let exchange = self.lib_exchange(lib);
-                    let mut start = t.max(self.robots_free[r_dst]);
-                    let mut transfer = Micros::ZERO;
-                    let mut r_src = None;
-                    if self.fleet {
-                        let tape_lib = self.topology.library_of_tape(plan.tape);
-                        if tape_lib != lib {
-                            // Cross-library mount: the home library's arm
-                            // must export the tape into the pass-through
-                            // port before the destination arm can import
-                            // and exchange it.
-                            let src = self.pick_robot(tape_lib);
-                            start = start.max(self.robots_free[src]);
-                            transfer = self.topology.transfer_penalty(lib, tape_lib);
-                            r_src = Some(src);
-                        }
-                        let wait = start.duration_since(t);
-                        if wait > Micros::ZERO {
-                            trace_event!(
-                                self.tracer,
-                                start,
-                                d as u16,
-                                TraceEvent::RobotBusy {
-                                    robot: r_dst as u16,
-                                    dur: wait,
-                                }
-                            );
-                        }
-                    }
-                    if let Some(src) = r_src {
-                        // The source arm is busy for the export leg only;
-                        // the pass-through walk and import charge the
-                        // destination arm below.
-                        let export = Micros::from_secs_f64(self.topology.interlib.export_s);
-                        self.robots_free[src] = start + export;
-                        trace_event!(
-                            self.tracer,
-                            start + export,
-                            d as u16,
-                            TraceEvent::RobotExchange {
-                                robot: src as u16,
-                                tape: plan.tape,
-                                dur: export,
-                            }
-                        );
-                    }
-                    self.robots_free[r_dst] = start + transfer + exchange;
-                    if self.fleet {
-                        trace_event!(
-                            self.tracer,
-                            self.robots_free[r_dst],
-                            d as u16,
-                            TraceEvent::RobotExchange {
-                                robot: r_dst as u16,
-                                tape: plan.tape,
-                                dur: transfer + exchange,
-                            }
-                        );
-                    }
-                    let mut ready = self.robots_free[r_dst] + self.timing.drive.load();
-                    let mut tape_failed_on_load = false;
-                    if self.injector.is_active() {
-                        let mut tries = 0u32;
-                        while self.injector.load_fails() {
-                            if tries >= self.faults.load_retries {
-                                tape_failed_on_load = true;
-                                break;
-                            }
-                            tries += 1;
-                            // Retries stay on the same arm: the tape is
-                            // already at the destination library.
-                            self.robots_free[r_dst] = ready.max(self.robots_free[r_dst]) + exchange;
-                            if self.fleet {
-                                trace_event!(
-                                    self.tracer,
-                                    self.robots_free[r_dst],
-                                    d as u16,
-                                    TraceEvent::RobotExchange {
-                                        robot: r_dst as u16,
-                                        tape: plan.tape,
-                                        dur: exchange,
-                                    }
-                                );
-                            }
-                            ready = self.robots_free[r_dst] + self.timing.drive.load();
-                        }
-                    }
-                    self.metrics
-                        .add_switch_time(ready, ready.duration_since(self.now));
-                    self.metrics.record_tape_switch(ready);
-                    if tape_failed_on_load {
-                        self.injector.force_tape_failure(plan.tape, ready);
-                        trace_event!(
-                            self.tracer,
-                            ready,
-                            d as u16,
-                            TraceEvent::LoadFailed {
-                                tape: plan.tape,
-                                dur: ready.duration_since(self.now) - rewind,
-                            }
-                        );
-                        trace_event!(
-                            self.tracer,
-                            ready,
-                            d as u16,
-                            TraceEvent::TapeOffline { tape: plan.tape }
-                        );
-                        abort_plan(&plan, plan.tape, &mut self.pending, &mut self.faulted);
-                        self.states[d].mounted = None;
-                        self.states[d].head = SlotIndex::BOT;
-                        self.states[d].free_at = ready;
-                        return Ok(());
-                    }
-                    trace_event!(
-                        self.tracer,
-                        ready,
-                        d as u16,
-                        TraceEvent::Mount {
-                            tape: plan.tape,
-                            dur: ready.duration_since(self.now) - rewind,
-                        }
-                    );
-                    self.states[d].mounted = Some(plan.tape);
-                    self.states[d].head = SlotIndex::BOT;
-                    self.states[d].free_at = ready;
-                } // else: already mounted, can start immediately
+                if self.states[d].mounted != Some(plan.tape) && !self.mount(d, plan.tape) {
+                    abort_plan(&plan, plan.tape, &mut self.pending, &mut self.faulted);
+                    return Ok(());
+                }
                 self.states[d].plan = Some(plan);
             }
             None => {
+                // No read to serve: flush during idle time if a batch is
+                // buffered.
+                if let Some(tape) = self.destage.as_ref().and_then(DeltaDestage::idle_target) {
+                    if self.states[d].mounted == Some(tape) || self.mount(d, tape) {
+                        self.destage(d, tape, false);
+                    }
+                    return Ok(());
+                }
                 // Nothing this drive can do: wait for the next system
                 // event (another drive's action, an arrival, or a fault
                 // repair that brings a tape back). External drivers lower
@@ -1580,6 +1650,11 @@ impl<'a> SteppedMultiDrive<'a> {
                 }
                 if let Some(t) = self.injector.next_event(self.now) {
                     if t < next {
+                        next = t;
+                    }
+                }
+                if let Some(t) = self.destage.as_ref().and_then(DeltaDestage::wake_at) {
+                    if t > self.now && t < next {
                         next = t;
                     }
                 }

@@ -1,11 +1,12 @@
-//! Shared vocabulary of the poll-driven stepped engine cores.
+//! Shared vocabulary of the poll-driven stepped engine core.
 //!
-//! There are two stepped cores: the read core
+//! There is one stepped core, the read core
 //! [`SteppedMultiDrive`](crate::SteppedMultiDrive), which runs one drive
-//! (the paper's configuration) or more, and the write-back core
-//! [`SteppedWriteBack`](crate::SteppedWriteBack). Every batch entry point
+//! (the paper's configuration) or more;
+//! [`SteppedWriteBack`](crate::SteppedWriteBack) is that core with delta
+//! destage attached as a work source. Every batch entry point
 //! (`run_multi_drive*`, `run_fleet*`, `run_with_writeback*`) is a thin
-//! driver over one of them: construct the core, call
+//! driver over it: construct the core, call
 //! [`step`](crate::SteppedMultiDrive::step) until it reports completion,
 //! then `finish()` for the report. So a stepped run and a batch run of
 //! the same configuration produce **byte-identical traces and exactly

@@ -28,6 +28,9 @@
 //!    request that arrived and has not already terminated, and a
 //!    completion's reported delay equals completion time minus arrival
 //!    time. Requests outstanding at end of trace are allowed.
+//! 5. **Destage** — a `delta_flush` writes at least one block to the tape
+//!    its drive has mounted, while no sweep is open on that drive (after
+//!    `sweep_end` for a piggyback, or on an idle drive).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -78,6 +81,8 @@ pub struct TraceStats {
     pub media_errors: u64,
     /// Replica failovers.
     pub failovers: u64,
+    /// Delta blocks destaged to tape.
+    pub delta_blocks: u64,
     /// Distinct drives that emitted events (excluding the system stream).
     pub drives: usize,
     /// Timestamp of the last record.
@@ -299,6 +304,26 @@ pub fn check_trace(trace: &[TraceRecord]) -> Result<TraceStats, Vec<Violation>> 
                 )),
                 Some(_) => {}
             },
+            TraceEvent::DeltaFlush { tape, blocks, .. } => {
+                stats.delta_blocks += u64::from(blocks);
+                if drive.mounted != Some(tape) {
+                    fail(format!(
+                        "delta flush to tape {} but drive {} has {:?} mounted",
+                        tape.0,
+                        rec.drive,
+                        drive.mounted.map(|t| t.0)
+                    ));
+                }
+                if let Some(sweep) = &drive.sweep {
+                    fail(format!(
+                        "delta flush to tape {} inside a sweep of tape {}",
+                        tape.0, sweep.tape.0
+                    ));
+                }
+                if blocks == 0 {
+                    fail(format!("delta flush to tape {} writes no block", tape.0));
+                }
+            }
             TraceEvent::TapeOffline { tape } => {
                 // A tape failure aborts any sweep on it and removes the
                 // cartridge from service wherever it sits.
@@ -670,6 +695,67 @@ mod tests {
         }];
         let stats = check_trace(&t).unwrap();
         assert_eq!(stats.outstanding, 1);
+    }
+
+    fn flush(tape: u16, blocks: u32) -> TraceEvent {
+        TraceEvent::DeltaFlush {
+            tape: TapeId(tape),
+            blocks,
+            piggyback: true,
+        }
+    }
+
+    /// Delta flushes in the valid trace: a piggyback after its sweep
+    /// ends, and one more on the still-mounted tape.
+    fn trace_with_flushes() -> Vec<TraceRecord> {
+        let mut t = valid_trace();
+        for (at, blocks) in [(40, 3), (50, 2)] {
+            let seq = t.len() as u64;
+            t.push(TraceRecord {
+                seq,
+                at: SimTime::from_micros(at),
+                drive: 0,
+                event: flush(2, blocks),
+            });
+        }
+        t
+    }
+
+    #[test]
+    fn delta_flushes_after_the_sweep_are_counted() {
+        let stats = check_trace(&trace_with_flushes()).unwrap();
+        assert_eq!(stats.delta_blocks, 5);
+    }
+
+    #[test]
+    fn rejects_delta_flush_to_an_unmounted_tape() {
+        let mut t = trace_with_flushes();
+        t[8].event = flush(3, 3);
+        let v = check_trace(&t).unwrap_err();
+        assert!(v.iter().any(|v| v
+            .message
+            .contains("delta flush to tape 3 but drive 0 has Some(2) mounted")));
+    }
+
+    #[test]
+    fn rejects_delta_flush_inside_a_sweep() {
+        let mut t = trace_with_flushes();
+        // Swap the flush in before the sweep end.
+        t[7].event = flush(2, 3);
+        t[8].event = TraceEvent::SweepEnd { tape: TapeId(2) };
+        t[8].at = t[7].at;
+        let v = check_trace(&t).unwrap_err();
+        assert!(v
+            .iter()
+            .any(|v| v.message.contains("inside a sweep of tape 2")));
+    }
+
+    #[test]
+    fn rejects_delta_flush_of_no_block() {
+        let mut t = trace_with_flushes();
+        t[9].event = flush(2, 0);
+        let v = check_trace(&t).unwrap_err();
+        assert!(v.iter().any(|v| v.message.contains("writes no block")));
     }
 
     #[test]

@@ -16,16 +16,20 @@
 //!   mounted (saving the extra switch).
 //!
 //! Deltas are appended to a per-tape append region after the data blocks;
-//! writing a block is assumed to cost the same as reading one. Reads
-//! always have priority: a flush never starts while reads are pending,
-//! and read arrivals interrupt a flush at the next block boundary.
+//! writing a block is assumed to cost the same as reading one. Reads have
+//! priority over idle flushes: one starts only when no read is pending.
 //!
-//! Like the base engine, the loop is factored into a poll-driven
-//! [`SteppedWriteBack`] core: each [`SteppedWriteBack::step`] executes
-//! exactly one iteration of the original monolithic loop (a read sweep,
-//! an idle-time flush, or an idle period), so the batch driver
-//! [`run_with_writeback`] — construct, step to completion, finish — is
-//! byte-for-byte equivalent to the pre-refactor code.
+//! Destage has no loop of its own. It is a work source that the read core
+//! [`SteppedMultiDrive`] carries and consults at four points of its
+//! service loop: it delivers due writes at each dispatch; it piggybacks
+//! after a sweep ends on a tape owed at least `piggyback_min` deltas; it
+//! flushes the tape owed the most deltas when the major rescheduler finds
+//! no read and a batch is buffered; and it wakes an idle drive for the
+//! write that would complete a batch. Reads therefore run exactly as in a
+//! write-free run of the read core — arrivals during a sweep go through
+//! the incremental scheduler — until the first destage.
+//! [`SteppedWriteBack`] is that core on one fault-free drive with the
+//! source attached.
 #![expect(
     clippy::cast_possible_truncation,
     reason = "buffer and slot counts are bounded by jukebox geometry"
@@ -39,20 +43,16 @@ use std::collections::VecDeque;
 
 use tapesim_layout::Catalog;
 use tapesim_model::{
-    LocateDirection, Micros, ReadContext, SimTime, SlotIndex, TapeId, TimingModel,
+    BlockSize, FaultConfig, Micros, ReadContext, SimTime, SlotIndex, TapeId, TimingModel,
 };
-use tapesim_sched::{JukeboxView, PendingList, Scheduler, SweepPlan};
-use tapesim_workload::RequestFactory;
+use tapesim_sched::Scheduler;
+use tapesim_workload::{ArrivalProcess, RequestFactory};
 
 use crate::error::SimError;
-use crate::metrics::{MetricsCollector, MetricsReport};
-use crate::multidrive::SimConfig;
+use crate::metrics::MetricsReport;
+use crate::multidrive::{SimConfig, SteppedMultiDrive};
 use crate::stepped::{CheckpointOpts, StepOutcome};
-use crate::trace::{NullSink, TraceEvent, TraceSink, Tracer, SYSTEM_DRIVE};
-use crate::trace_event;
-
-/// The single drive the write-back simulation models.
-const DRIVE0: u16 = 0;
+use crate::trace::{NullSink, TraceSink};
 
 /// When delta blocks are destaged to tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,7 +133,7 @@ pub fn run_with_writeback(
 
 /// [`run_with_writeback`] with an event-trace sink attached. Read sweeps
 /// emit the same vocabulary as the base engine; destage activity appears
-/// as [`TraceEvent::DeltaFlush`] records.
+/// as [`TraceEvent::DeltaFlush`](crate::TraceEvent::DeltaFlush) records.
 ///
 /// # Errors
 /// Same as [`run_with_writeback`].
@@ -166,51 +166,17 @@ pub fn run_with_writeback_traced(
     Ok(engine.finish())
 }
 
-/// Poll-driven core of the write-back simulation.
+/// The read core on one fault-free drive, with delta destage attached as
+/// a work source (see the module docs). Each [`step`](SteppedWriteBack::step)
+/// is one [`SteppedMultiDrive::step`]: a stop of a read sweep, a mount, a
+/// flush, or an idle period. [`finish`](SteppedWriteBack::finish) closes
+/// the accounting and yields the [`WriteBackReport`].
 ///
-/// Each [`step`](SteppedWriteBack::step) executes one iteration of the
-/// destage loop — a full read sweep (with optional piggyback flush), a
-/// dedicated idle-time flush, or one idle period — and advances the
-/// clock accordingly. [`finish`](SteppedWriteBack::finish) closes the
-/// accounting and yields the [`WriteBackReport`].
-///
-/// Unlike [`crate::SteppedMultiDrive`] there is no external-arrival mode:
-/// the write-back study only makes sense against the generated open
-/// Poisson read stream whose idle time it measures.
+/// There is no external-arrival mode: the write-back study only makes
+/// sense against the generated open Poisson read stream whose idle time
+/// it measures.
 pub struct SteppedWriteBack<'a> {
-    catalog: &'a Catalog,
-    timing: &'a TimingModel,
-    scheduler: &'a mut dyn Scheduler,
-    factory: &'a mut RequestFactory,
-    cfg: SimConfig,
-    wb: WriteBackConfig,
-    tracer: Tracer<'a>,
-    block: tapesim_model::BlockSize,
-    block_bytes: u64,
-    end: SimTime,
-    tapes: u16,
-    append_at: Vec<SlotIndex>,
-    wrng: WriteStream,
-    next_write: Option<SimTime>,
-    now: SimTime,
-    mounted: Option<TapeId>,
-    head: SlotIndex,
-    pending: PendingList,
-    metrics: MetricsCollector,
-    buffer: VecDeque<Delta>,
-    next_arrival: Option<SimTime>,
-    deltas_flushed: u64,
-    peak_buffer: u64,
-    total_age: Micros,
-    piggyback_flushes: u64,
-    idle_flushes: u64,
-    stranded: u64,
-    /// How far an idle drive may advance when nothing is schedulable.
-    /// Batch drivers leave this at the horizon (reproducing the
-    /// monolithic loop exactly); [`SteppedWriteBack::step_until`] lowers
-    /// it so a stepping caller regains control at its chosen instant.
-    park: SimTime,
-    done: bool,
+    core: SteppedMultiDrive<'a>,
 }
 
 impl<'a> SteppedWriteBack<'a> {
@@ -234,446 +200,69 @@ impl<'a> SteppedWriteBack<'a> {
         wb: &WriteBackConfig,
         write_seed: u64,
         sink: &'a mut dyn TraceSink,
-        _inert: &CheckpointOpts,
+        inert: &CheckpointOpts,
     ) -> Result<Self, SimError> {
-        if cfg.warmup >= cfg.duration {
-            return Err(SimError::InvalidConfig("warmup must precede the horizon"));
-        }
-        // Probe the arrival stream first (this consumes one interarrival
-        // draw, matching the stream position of earlier releases).
-        if factory.next_interarrival().is_none() && factory.process().initial_requests() != 0 {
+        if matches!(factory.process(), ArrivalProcess::Closed { .. }) {
             return Err(SimError::ClosedArrivalStream);
         }
-        let block = catalog.block_size();
-        let block_bytes = block.bytes();
-        let end = SimTime::ZERO + cfg.duration;
-        let warmup_end = SimTime::ZERO + cfg.warmup;
-        let tapes = catalog.geometry().tapes;
-        // Append region start per tape: just past the last occupied slot.
-        let append_at: Vec<SlotIndex> = catalog
-            .geometry()
-            .tape_ids()
-            .map(|t| {
-                catalog
-                    .tape_contents(t)
-                    .last()
-                    .map(|(s, _)| s.next())
-                    .unwrap_or(SlotIndex::BOT)
-            })
-            .collect();
-
-        // Deterministic write stream, independent of the read stream.
-        let mut wrng = WriteStream::new(wb.write_mean_interarrival, tapes, write_seed);
-        let next_write = Some(SimTime::ZERO + wrng.next_gap());
-        let gap = factory
-            .next_interarrival()
-            .ok_or(SimError::ClosedArrivalStream)?;
-        let next_arrival = Some(SimTime::ZERO + gap);
-
-        Ok(SteppedWriteBack {
+        let mut core = SteppedMultiDrive::new(
             catalog,
             timing,
             scheduler,
             factory,
-            cfg: *cfg,
-            wb: *wb,
-            tracer: Tracer::new(sink),
-            block,
-            block_bytes,
-            end,
-            tapes,
-            append_at,
-            wrng,
-            next_write,
-            now: SimTime::ZERO,
-            mounted: None,
-            head: SlotIndex::BOT,
-            pending: PendingList::new(),
-            metrics: MetricsCollector::new(warmup_end),
-            buffer: VecDeque::new(),
-            next_arrival,
-            deltas_flushed: 0,
-            peak_buffer: 0,
-            total_age: Micros::ZERO,
-            piggyback_flushes: 0,
-            idle_flushes: 0,
-            stranded: 0,
-            park: end,
-            done: false,
-        })
+            cfg,
+            1,
+            &FaultConfig::NONE,
+            0,
+            sink,
+            inert,
+        )?;
+        core.destage = Some(DeltaDestage::new(catalog, wb, write_seed));
+        Ok(SteppedWriteBack { core })
     }
 
     /// The engine clock: the instant of the last executed event.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now()
     }
 
     /// True once the horizon was reached or the run saturated.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.core.is_done()
     }
 
     /// Read requests waiting on the pending list.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.core.pending_len()
     }
 
     /// Delta blocks currently buffered on disk.
     pub fn buffered_deltas(&self) -> usize {
-        self.buffer.len()
+        self.core.destage.as_ref().map_or(0, |s| s.buffer.len())
     }
 
     /// The tape currently in the drive.
     pub fn mounted(&self) -> Option<TapeId> {
-        self.mounted
+        self.core.drive_mounted(0)
     }
 
-    /// Pops every due read/write event at `at`.
-    fn deliver(&mut self, at: SimTime) -> Result<(), SimError> {
-        while let Some(t) = self.next_arrival {
-            if t > at {
-                break;
-            }
-            let r = self.factory.make(t);
-            trace_event!(
-                self.tracer,
-                t,
-                SYSTEM_DRIVE,
-                TraceEvent::Arrival {
-                    req: r.id,
-                    block: r.block,
-                }
-            );
-            self.pending.push(r);
-            self.metrics.record_admission();
-            let gap = self
-                .factory
-                .next_interarrival()
-                .ok_or(SimError::ClosedArrivalStream)?;
-            self.next_arrival = Some(t + gap);
-        }
-        while let Some(t) = self.next_write {
-            if t > at {
-                break;
-            }
-            self.buffer.push_back(Delta {
-                created: t,
-                dest: self.wrng.next_dest(),
-            });
-            self.peak_buffer = self.peak_buffer.max(self.buffer.len() as u64);
-            self.next_write = Some(t + self.wrng.next_gap());
-        }
-        Ok(())
-    }
-
-    /// Rewinds/unmounts the current tape if needed and mounts `tape`,
-    /// attributing the switch time. No-op when `tape` is already in the
-    /// drive.
-    fn switch_to(&mut self, tape: TapeId) {
-        if self.mounted == Some(tape) {
-            return;
-        }
-        let mut switch = Micros::ZERO;
-        let mut rewind = Micros::ZERO;
-        if let Some(old) = self.mounted {
-            rewind = self.timing.drive.rewind(self.head, self.block);
-            switch += rewind + self.timing.drive.eject();
-            trace_event!(
-                self.tracer,
-                self.now + rewind,
-                DRIVE0,
-                TraceEvent::Rewind {
-                    tape: old,
-                    from: self.head,
-                    dur: rewind,
-                }
-            );
-            trace_event!(
-                self.tracer,
-                self.now + rewind,
-                DRIVE0,
-                TraceEvent::Unmount { tape: old }
-            );
-        }
-        switch += self.timing.robot.exchange() + self.timing.drive.load();
-        self.now += switch;
-        self.metrics.add_switch_time(self.now, switch);
-        self.metrics.record_tape_switch(self.now);
-        trace_event!(
-            self.tracer,
-            self.now,
-            DRIVE0,
-            TraceEvent::Mount {
-                tape,
-                dur: switch - rewind,
-            }
-        );
-        self.mounted = Some(tape);
-        self.head = SlotIndex::BOT;
-    }
-
-    /// Executes one read sweep end-to-end, then a piggyback flush if the
-    /// policy allows and enough deltas are owed to the mounted tape.
-    fn run_sweep(&mut self, mut plan: SweepPlan) -> Result<(), SimError> {
-        trace_event!(
-            self.tracer,
-            self.now,
-            DRIVE0,
-            TraceEvent::SweepStart {
-                tape: plan.tape,
-                stops: plan.list.stops() as u32,
-                requests: plan.list.requests() as u32,
-            }
-        );
-        // Read sweep, exactly as in the base engine.
-        self.switch_to(plan.tape);
-        let mut cur_phase = None;
-        loop {
-            self.deliver(self.now)?;
-            if self.now >= self.end {
-                self.stranded = plan.list.requests() as u64;
-                self.done = true;
-                return Ok(());
-            }
-            // Route due reads through the incremental scheduler.
-            // (deliver already pushed them to pending; good enough —
-            // static semantics for the write-back study keeps the
-            // comparison between flush policies apples-to-apples.)
-            let Some((stop, phase)) = plan.list.pop() else {
-                trace_event!(
-                    self.tracer,
-                    self.now,
-                    DRIVE0,
-                    TraceEvent::SweepEnd { tape: plan.tape }
-                );
-                break;
-            };
-            if self.tracer.on && cur_phase != Some(phase) {
-                cur_phase = Some(phase);
-                self.tracer.push(
-                    self.now,
-                    DRIVE0,
-                    TraceEvent::PhaseStart {
-                        tape: plan.tape,
-                        phase,
-                    },
-                );
-            }
-            let (lt, dir) = self.timing.drive.locate(self.head, stop.slot, self.block);
-            let ctx = match dir {
-                None => ReadContext::Streaming,
-                Some(LocateDirection::Forward) => ReadContext::AfterForwardLocate,
-                Some(LocateDirection::Reverse) => ReadContext::AfterReverseLocate,
-            };
-            let rt = self.timing.drive.read_block(self.block, ctx);
-            trace_event!(
-                self.tracer,
-                self.now + lt,
-                DRIVE0,
-                TraceEvent::Locate {
-                    tape: plan.tape,
-                    from: self.head,
-                    to: stop.slot,
-                    dur: lt,
-                }
-            );
-            self.now += lt + rt;
-            self.metrics.add_locate_time(self.now, lt);
-            self.metrics.add_read_time(self.now, rt);
-            self.head = stop.slot.next();
-            self.metrics.record_physical_read(self.now);
-            trace_event!(
-                self.tracer,
-                self.now,
-                DRIVE0,
-                TraceEvent::Read {
-                    tape: plan.tape,
-                    slot: stop.slot,
-                    phase,
-                    dur: rt,
-                }
-            );
-            for r in &stop.requests {
-                self.metrics
-                    .record_completion(r.arrival, self.now, self.block_bytes);
-                trace_event!(
-                    self.tracer,
-                    self.now,
-                    DRIVE0,
-                    TraceEvent::Complete {
-                        req: r.id,
-                        tape: plan.tape,
-                        delay: self.now.duration_since(r.arrival),
-                    }
-                );
-            }
-        }
-        // Piggyback: the tape is still mounted; append its deltas.
-        if self.wb.policy == FlushPolicy::Piggyback {
-            let tape = plan.tape;
-            let owed = self.buffer.iter().filter(|d| d.dest == tape).count();
-            if owed as u32 >= self.wb.piggyback_min.max(1) && self.now < self.end {
-                self.piggyback_flushes += 1;
-                let before = self.deltas_flushed;
-                flush_deltas(
-                    self.catalog,
-                    self.timing,
-                    &mut self.buffer,
-                    tape,
-                    self.append_at[tape.index()],
-                    &mut self.now,
-                    &mut self.head,
-                    &mut self.deltas_flushed,
-                    &mut self.total_age,
-                );
-                trace_event!(
-                    self.tracer,
-                    self.now,
-                    DRIVE0,
-                    TraceEvent::DeltaFlush {
-                        tape,
-                        blocks: (self.deltas_flushed - before) as u32,
-                        piggyback: true,
-                    }
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// Mounts the tape owed the most deltas and streams the batch out.
-    fn idle_flush(&mut self) -> Result<(), SimError> {
-        // The tape owed the most deltas.
-        let mut owed = vec![0u32; self.tapes as usize];
-        for d in &self.buffer {
-            owed[d.dest.index()] += 1;
-        }
-        let Some((ti, _)) = owed
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-        else {
-            return Err(SimError::InvalidConfig("jukebox has no tapes"));
-        };
-        let tape = TapeId(ti as u16);
-        self.switch_to(tape);
-        self.idle_flushes += 1;
-        let before = self.deltas_flushed;
-        flush_deltas(
-            self.catalog,
-            self.timing,
-            &mut self.buffer,
-            tape,
-            self.append_at[tape.index()],
-            &mut self.now,
-            &mut self.head,
-            &mut self.deltas_flushed,
-            &mut self.total_age,
-        );
-        trace_event!(
-            self.tracer,
-            self.now,
-            DRIVE0,
-            TraceEvent::DeltaFlush {
-                tape,
-                blocks: (self.deltas_flushed - before) as u32,
-                piggyback: false,
-            }
-        );
-        Ok(())
-    }
-
-    /// Executes one iteration of the destage loop: a read sweep, a
-    /// dedicated flush, or one idle period. Returns whether more work
-    /// remains before the horizon.
+    /// Executes one event of the read core: a read, a mount, a flush, or
+    /// an idle period. Returns whether more work remains before the
+    /// horizon.
     ///
     /// # Errors
     /// Same as [`run_with_writeback`].
     pub fn step(&mut self) -> Result<StepOutcome, SimError> {
-        if self.done {
-            return Ok(StepOutcome::Done);
-        }
-        if self.now >= self.end {
-            self.done = true;
-            return Ok(StepOutcome::Done);
-        }
-        self.deliver(self.now)?;
-        if self.pending.len() > self.cfg.max_pending {
-            self.done = true;
-            return Ok(StepOutcome::Done);
-        }
-
-        let view = JukeboxView {
-            catalog: self.catalog,
-            timing: self.timing,
-            mounted: self.mounted,
-            head: self.head,
-            now: self.now,
-            unavailable: &[],
-            offline: &[],
-            fleet: tapesim_sched::FleetView::SINGLE,
-        };
-
-        view.debug_assert_sorted();
-        if let Some(plan) = self.scheduler.major_reschedule(&view, &mut self.pending) {
-            self.run_sweep(plan)?;
-            return Ok(if self.done {
-                StepOutcome::Done
-            } else {
-                StepOutcome::Running
-            });
-        }
-
-        // No reads pending: flush during idle time if a batch is owed.
-        if self.buffer.len() as u32 >= self.wb.flush_batch {
-            self.idle_flush()?;
-            return Ok(StepOutcome::Running);
-        }
-
-        // Nothing to do at all: idle to the next event (or to `park`,
-        // whichever is first, so a stepping caller regains control).
-        let mut next = self.end;
-        if let Some(t) = self.next_arrival {
-            next = next.min(t);
-        }
-        if let Some(t) = self.next_write {
-            // Waking for a write only matters once a batch could form (or
-            // when there is no read stream to wake us at all).
-            if (self.buffer.len() as u32) + 1 >= self.wb.flush_batch || self.next_arrival.is_none()
-            {
-                next = next.min(t);
-            }
-        }
-        if next <= self.now {
-            next = self.now + Micros::from_micros(1);
-        }
-        let capped = next.min(self.end).min(self.park);
-        let dur = capped.duration_since(self.now);
-        self.metrics.add_idle_time(capped, dur);
-        trace_event!(self.tracer, capped, DRIVE0, TraceEvent::Idle { dur });
-        self.now = capped;
-        if self.now >= self.end {
-            self.done = true;
-            return Ok(StepOutcome::Done);
-        }
-        Ok(StepOutcome::Running)
+        self.core.step()
     }
 
     /// Steps until the clock reaches `until` (clamped to the horizon) or
-    /// the run finishes. When nothing is schedulable the drive parks at
-    /// `until` instead of idling to the horizon. Parked idle periods are
-    /// split into multiple `Idle` trace records (one per call), but the
-    /// total idle time — and every metric — is unchanged.
+    /// the run finishes; see [`SteppedMultiDrive::step_until`].
     ///
     /// # Errors
     /// Same as [`SteppedWriteBack::step`].
     pub fn step_until(&mut self, until: SimTime) -> Result<(), SimError> {
-        self.park = until.min(self.end);
-        while !self.done && self.now < self.park {
-            self.step()?;
-        }
-        self.park = self.end;
-        Ok(())
+        self.core.step_until(until)
     }
 
     /// Closes the run and produces the report. Call after [`step`]
@@ -681,21 +270,159 @@ impl<'a> SteppedWriteBack<'a> {
     /// as of the current clock.
     ///
     /// [`step`]: SteppedWriteBack::step
+    #[expect(
+        clippy::expect_used,
+        reason = "the only constructor attaches the destage source"
+    )]
     pub fn finish(mut self) -> WriteBackReport {
-        let window = self.cfg.duration - self.cfg.warmup;
-        self.metrics.set_fault_accounting(
-            0,
-            Vec::new(),
-            Micros::ZERO,
-            self.pending.len() as u64 + self.stranded,
-        );
+        let source = self.core.destage.take().expect("destage source attached");
+        source.report(self.core.finish())
+    }
+}
+
+/// Delta destage as a work source of the read core: the write stream, the
+/// delta buffer, the per-tape append regions and the write-side counters.
+#[derive(Debug)]
+pub(crate) struct DeltaDestage {
+    cfg: WriteBackConfig,
+    writes: WriteStream,
+    next_write: Option<SimTime>,
+    buffer: VecDeque<Delta>,
+    /// Append region start per tape: just past the last occupied slot.
+    append_at: Vec<SlotIndex>,
+    flushed: u64,
+    peak_buffer: u64,
+    total_age: Micros,
+    piggyback_flushes: u64,
+    idle_flushes: u64,
+}
+
+impl DeltaDestage {
+    fn new(catalog: &Catalog, cfg: &WriteBackConfig, seed: u64) -> Self {
+        let geometry = catalog.geometry();
+        let append_at = geometry
+            .tape_ids()
+            .map(|t| {
+                catalog
+                    .tape_contents(t)
+                    .last()
+                    .map_or(SlotIndex::BOT, |(s, _)| s.next())
+            })
+            .collect();
+        // Deterministic write stream, independent of the read stream.
+        let mut writes = WriteStream::new(cfg.write_mean_interarrival, geometry.tapes, seed);
+        let next_write = Some(SimTime::ZERO + writes.next_gap());
+        DeltaDestage {
+            cfg: *cfg,
+            writes,
+            next_write,
+            buffer: VecDeque::new(),
+            append_at,
+            flushed: 0,
+            peak_buffer: 0,
+            total_age: Micros::ZERO,
+            piggyback_flushes: 0,
+            idle_flushes: 0,
+        }
+    }
+
+    /// Buffers every write due at or before `now`.
+    pub(crate) fn deliver(&mut self, now: SimTime) {
+        while let Some(t) = self.next_write.filter(|&t| t <= now) {
+            self.buffer.push_back(Delta {
+                created: t,
+                dest: self.writes.next_dest(),
+            });
+            self.peak_buffer = self.peak_buffer.max(self.buffer.len() as u64);
+            self.next_write = Some(t + self.writes.next_gap());
+        }
+    }
+
+    /// True when the policy piggybacks and `tape`, whose sweep just
+    /// ended, is owed at least `piggyback_min` deltas.
+    pub(crate) fn piggyback_due(&self, tape: TapeId) -> bool {
+        self.cfg.policy == FlushPolicy::Piggyback
+            && self.buffer.iter().filter(|d| d.dest == tape).count() as u64
+                >= u64::from(self.cfg.piggyback_min.max(1))
+    }
+
+    /// The tape an idle drive should flush to: once a batch is buffered,
+    /// the tape owed the most deltas (the lowest id on ties).
+    pub(crate) fn idle_target(&self) -> Option<TapeId> {
+        if (self.buffer.len() as u64) < u64::from(self.cfg.flush_batch.max(1)) {
+            return None;
+        }
+        let mut owed = vec![0u32; self.append_at.len()];
+        for d in &self.buffer {
+            owed[d.dest.index()] += 1;
+        }
+        owed.iter()
+            .enumerate()
+            .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
+            .map(|(i, _)| TapeId(i as u16))
+    }
+
+    /// When an idle drive must wake for the write stream: at the next
+    /// write, if that write completes a batch.
+    pub(crate) fn wake_at(&self) -> Option<SimTime> {
+        self.next_write
+            .filter(|_| self.buffer.len() as u64 + 1 >= u64::from(self.cfg.flush_batch))
+    }
+
+    /// Streams every buffered delta owed to `tape` into its append region,
+    /// starting at `start` with the head at `head`: one locate to the
+    /// region, then one block write per delta, each costed like a read.
+    /// Returns the instant the last write ends and the blocks written.
+    pub(crate) fn flush(
+        &mut self,
+        tape: TapeId,
+        piggyback: bool,
+        head: &mut SlotIndex,
+        start: SimTime,
+        timing: &TimingModel,
+        block: BlockSize,
+    ) -> (SimTime, u32) {
+        if piggyback {
+            self.piggyback_flushes += 1;
+        } else {
+            self.idle_flushes += 1;
+        }
+        let region = self.append_at[tape.index()];
+        let mut now = start;
+        let mut blocks = 0u32;
+        let (flushed, total_age) = (&mut self.flushed, &mut self.total_age);
+        self.buffer.retain(|delta| {
+            if delta.dest != tape {
+                return true;
+            }
+            if blocks == 0 {
+                now += timing.drive.locate(*head, region, block).0;
+                *head = region;
+            }
+            // A positioning startup for the first block, streaming after.
+            let ctx = if *head == region {
+                ReadContext::AfterForwardLocate
+            } else {
+                ReadContext::Streaming
+            };
+            now += timing.drive.read_block(block, ctx);
+            *head = head.next();
+            blocks += 1;
+            *flushed += 1;
+            *total_age += now.duration_since(delta.created);
+            false
+        });
+        (now, blocks)
+    }
+
+    fn report(self, reads: MetricsReport) -> WriteBackReport {
         WriteBackReport {
-            reads: self.metrics.report(window, false),
-            deltas_flushed: self.deltas_flushed,
+            reads,
+            deltas_flushed: self.flushed,
             deltas_buffered: self.buffer.len() as u64,
             peak_buffer: self.peak_buffer,
-            mean_delta_age_s: if self.deltas_flushed > 0 {
-                self.total_age.as_secs_f64() / self.deltas_flushed as f64
+            mean_delta_age_s: if self.flushed > 0 {
+                self.total_age.as_secs_f64() / self.flushed as f64
             } else {
                 0.0
             },
@@ -703,53 +430,6 @@ impl<'a> SteppedWriteBack<'a> {
             idle_flushes: self.idle_flushes,
         }
     }
-}
-
-/// Streams every buffered delta destined for `tape` into its append
-/// region: one locate to the region, then sequential block writes.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the flush reads and advances the engine state piecewise"
-)]
-fn flush_deltas(
-    catalog: &Catalog,
-    timing: &TimingModel,
-    buffer: &mut VecDeque<Delta>,
-    tape: TapeId,
-    append_at: SlotIndex,
-    now: &mut SimTime,
-    head: &mut SlotIndex,
-    deltas_flushed: &mut u64,
-    total_age: &mut Micros,
-) {
-    let block = catalog.block_size();
-    let mut first = true;
-    let mut kept: VecDeque<Delta> = VecDeque::with_capacity(buffer.len());
-    for delta in buffer.drain(..) {
-        if delta.dest != tape {
-            kept.push_back(delta);
-            continue;
-        }
-        if first {
-            let (lt, _) = timing.drive.locate(*head, append_at, block);
-            *now += lt;
-            *head = append_at;
-            first = false;
-        }
-        // Writing a block is modeled like reading one (a positioning
-        // startup for the first block, streaming afterwards).
-        let ctx = if *head == append_at {
-            ReadContext::AfterForwardLocate
-        } else {
-            ReadContext::Streaming
-        };
-        let wt = timing.drive.read_block(block, ctx);
-        *now += wt;
-        *head = head.next();
-        *deltas_flushed += 1;
-        *total_age += now.duration_since(delta.created);
-    }
-    *buffer = kept;
 }
 
 /// Deterministic Poisson write stream with round-robin-ish destinations.
@@ -798,6 +478,15 @@ mod tests {
     use tapesim_workload::{ArrivalProcess, BlockSampler};
 
     fn run(policy: FlushPolicy, read_gap_s: u64, write_gap_s: u64) -> WriteBackReport {
+        run_for(policy, read_gap_s, write_gap_s, &SimConfig::quick())
+    }
+
+    fn run_for(
+        policy: FlushPolicy,
+        read_gap_s: u64,
+        write_gap_s: u64,
+        cfg: &SimConfig,
+    ) -> WriteBackReport {
         let placed = build_placement(
             JukeboxGeometry::PAPER_DEFAULT,
             BlockSize::PAPER_DEFAULT,
@@ -819,7 +508,7 @@ mod tests {
             &timing,
             sched.as_mut(),
             &mut factory,
-            &SimConfig::quick(),
+            cfg,
             &WriteBackConfig {
                 write_mean_interarrival: Micros::from_secs(write_gap_s),
                 flush_batch: 5,
@@ -833,7 +522,7 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "full-horizon simulation is too slow under Miri")]
-    fn idle_flushes_drain_the_buffer() {
+    fn idle_only_destage_drains_the_buffer() {
         let r = run(FlushPolicy::IdleOnly, 400, 200);
         assert!(r.deltas_flushed > 100, "flushed {}", r.deltas_flushed);
         assert!(r.idle_flushes > 0);
@@ -878,6 +567,24 @@ mod tests {
             "busy {:.0}s vs quiet {:.0}s",
             busy.reads.mean_delay_s,
             quiet.reads.mean_delay_s
+        );
+    }
+
+    /// A read every second swamps the ~1 read per 30 s the drive serves:
+    /// the pending list passes `max_pending`, the run stops there, and
+    /// the report says so and still accounts for every admitted read.
+    #[test]
+    fn overloaded_run_reports_saturation() {
+        let cfg = SimConfig {
+            duration: Micros::from_secs(2_000_000),
+            warmup: Micros::from_secs(1_000),
+            max_pending: 200,
+        };
+        let r = run_for(FlushPolicy::Piggyback, 1, 200, &cfg).reads;
+        assert!(r.saturated, "an overloaded run must report saturation");
+        assert_eq!(
+            r.admitted,
+            r.served + r.failed_requests + r.unserved + r.cancelled
         );
     }
 

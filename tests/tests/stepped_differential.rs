@@ -1,14 +1,17 @@
 //! Stepped ≡ batch differential suite.
 //!
 //! The batch entry points (`run_multi_drive*`, `run_with_writeback*`) are
-//! thin drivers over the poll-driven stepped cores (`SteppedMultiDrive`,
-//! `SteppedWriteBack`): construct, step to completion, finish. These
-//! tests prove the two surfaces are indistinguishable — **byte-identical
-//! JSONL traces** and exactly equal metrics reports — across schedulers,
-//! drive counts (one drive included: the paper's configuration), and
-//! fault presets. Any divergence between a step boundary and the batch
-//! loop (a reordered trace record, a clock off by a microsecond, a metric
-//! counted on the wrong side of a step) shows up as a byte diff here.
+//! thin drivers over the one poll-driven stepped core, `SteppedMultiDrive`
+//! (`SteppedWriteBack` is that core with delta destage attached):
+//! construct, step to completion, finish. These tests prove the two
+//! surfaces are indistinguishable — **byte-identical JSONL traces** and
+//! exactly equal metrics reports — across schedulers, drive counts (one
+//! drive included: the paper's configuration), and fault presets. Any
+//! divergence between a step boundary and the batch loop (a reordered
+//! trace record, a clock off by a microsecond, a metric counted on the
+//! wrong side of a step) shows up as a byte diff here. A write-back run
+//! in which no write batch ever forms must be exactly a run of the read
+//! core.
 
 use integration_tests::light_faults;
 use tapesim::layout::{build_placement, PlacementConfig, PlacementScheme};
@@ -185,8 +188,8 @@ fn stepped_equals_batch_under_open_arrivals() {
     }
 }
 
-/// The write-back engine's stepped core against its batch driver,
-/// including destage (`DeltaFlush`) trace records.
+/// Stepped write-back against its batch driver, including destage
+/// (`DeltaFlush`) trace records.
 #[test]
 fn stepped_writeback_trace_is_byte_identical() {
     let placed = build_placement(
@@ -252,4 +255,57 @@ fn stepped_writeback_trace_is_byte_identical() {
     );
     assert_eq!(stepped.0, batch.0, "write-back reports diverge");
     assert_eq!(stepped.1, batch.1, "write-back JSONL traces diverge");
+}
+
+/// Write-back is the read core plus a work source: with a write gap so
+/// long (10¹² s) that no batch ever forms, a write-back run reports
+/// exactly what the one-drive read core reports on the same factory,
+/// scheduler and config, and writes the same JSONL trace byte for byte.
+#[test]
+fn writeback_without_writes_is_the_read_core() {
+    let placed = build_placement(
+        JukeboxGeometry::PAPER_DEFAULT,
+        BlockSize::PAPER_DEFAULT,
+        PlacementConfig::paper_baseline(),
+    )
+    .unwrap();
+    let timing = TimingModel::paper_default();
+    let process = ArrivalProcess::OpenPoisson {
+        mean_interarrival: Micros::from_secs(200),
+    };
+    let algorithm = AlgorithmId::paper_recommended();
+    let writeback = {
+        let mut factory = factory_for(&placed.catalog, process);
+        let mut sched = make_scheduler(algorithm);
+        let mut sink = JsonlSink::new(Vec::new());
+        let report = run_with_writeback_traced(
+            &placed.catalog,
+            &timing,
+            sched.as_mut(),
+            &mut factory,
+            &SimConfig::quick(),
+            &WriteBackConfig {
+                write_mean_interarrival: Micros::from_secs(1_000_000_000_000),
+                flush_batch: 10,
+                piggyback_min: 5,
+                policy: FlushPolicy::Piggyback,
+            },
+            99,
+            &mut sink,
+        )
+        .unwrap();
+        (report, sink.finish().unwrap())
+    };
+    let (report, trace, _) = stepped_multi(
+        &placed.catalog,
+        &timing,
+        algorithm,
+        1,
+        &FaultConfig::NONE,
+        process,
+    );
+    assert_eq!(writeback.0.deltas_flushed, 0, "a write was flushed");
+    assert!(report.completed > 0, "no reads completed");
+    assert_eq!(writeback.0.reads, report, "write-back reports diverge");
+    assert_eq!(writeback.1, trace, "write-back JSONL traces diverge");
 }

@@ -147,14 +147,18 @@ proptest! {
         prop_assert!(base == other, "inert fault seed changed the trace for {:?}", algorithm);
     }
 
-    /// The write-back engine's traces (reads + delta flushes) satisfy the
-    /// same invariants under both destage policies.
+    /// Write-back traces (reads + delta flushes) satisfy the same
+    /// invariants under every scheduler and both destage policies, and
+    /// their delta-flush records account for every block flushed.
     #[test]
     fn writeback_traces_are_valid(
         seed in 0u64..10_000,
+        alg_pick in 0usize..1000,
         policy_pick in 0usize..2,
         write_gap_s in 100u64..400,
     ) {
+        let algorithms = AlgorithmId::all();
+        let algorithm = algorithms[alg_pick % algorithms.len()];
         let placed = build_placement(
             JukeboxGeometry::FIVE_TAPE,
             BlockSize::PAPER_DEFAULT,
@@ -168,9 +172,9 @@ proptest! {
             ArrivalProcess::OpenPoisson { mean_interarrival: Micros::from_secs(300) },
             seed,
         );
-        let mut sched = make_scheduler(AlgorithmId::paper_recommended());
+        let mut sched = make_scheduler(algorithm);
         let mut sink = MemorySink::new();
-        run_with_writeback_traced(
+        let report = run_with_writeback_traced(
             &placed.catalog,
             &timing,
             sched.as_mut(),
@@ -191,12 +195,13 @@ proptest! {
             Ok(s) => s,
             Err(v) => {
                 return Err(proptest::test_runner::TestCaseError::fail(format!(
-                    "write-back policy {policy_pick} seed {seed}: first violation: {}",
+                    "write-back {algorithm:?} policy {policy_pick} seed {seed}: first violation: {}",
                     v[0]
                 )));
             }
         };
         prop_assert!(stats.completions > 0);
+        prop_assert_eq!(stats.delta_blocks, report.deltas_flushed);
     }
 }
 
