@@ -1,7 +1,8 @@
 //! Integration test crate; see `tests/` for the tests themselves. This
 //! library holds the fixtures that more than one test file shares, the
-//! [`pinned`] report tables, and [`lint_check`], which runs clippy under
-//! the repository's lint configuration.
+//! [`pinned`] report tables, the [`envelope_reference`] oracle, and
+//! [`lint_check`], which runs clippy under the repository's lint
+//! configuration.
 //!
 //! The `#[cfg(test)]` modules below pin that configuration (`clippy.toml`
 //! and the root `[workspace.lints]` table) case by case: each test runs
@@ -12,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod envelope_reference;
 /// The JSON reader behind [`lint_check`].
 mod json;
 pub mod lint_check;
