@@ -7,10 +7,10 @@
 )]
 
 use tapesim::prelude::*;
-use tapesim_bench::HarnessOpts;
+use tapesim_bench::{Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale]);
     let mut t = Table::new(["drive", "config", "KB/s", "delay s", "switches"]);
     let mut summary = Vec::new();
     for (drive_name, timing) in [

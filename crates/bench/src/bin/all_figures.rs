@@ -8,7 +8,7 @@
 use tapesim_bench::{emit_figure_cached, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Open, Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     println!("=== Reproducing Hillyer/Rastogi/Silberschatz, ICDE 1999 ===\n");
 

@@ -15,7 +15,7 @@ use tapesim::prelude::*;
 use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();

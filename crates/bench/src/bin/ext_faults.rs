@@ -28,7 +28,7 @@ const LEVELS: [(&str, f64, Option<u64>); 4] = [
 ];
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Open, Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

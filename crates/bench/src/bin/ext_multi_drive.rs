@@ -11,7 +11,7 @@ use tapesim::sim::run_multi_drive;
 use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();

@@ -17,7 +17,7 @@ use tapesim::prelude::*;
 use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Out, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let m = SerpentineModel::dlt_like();
     let block = BlockSize::PAPER_DEFAULT;

@@ -16,7 +16,7 @@ use tapesim::sim::{
 use tapesim_bench::{cached_csv, write_csv, write_trace, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Trace, Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Trace, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();

@@ -49,7 +49,7 @@ fn run_zipf(
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
     let sim = opts.scale.sim_config();
     let seeds = opts.scale.seeds();

@@ -6,10 +6,10 @@
 //!     scaled down by E (same total workload over E times more jukeboxes).
 
 use tapesim::prelude::*;
-use tapesim_bench::{write_csv, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
 
     // (a) expansion factor.
     println!("Figure 10(a): storage expansion factor E = 1 + NR*PH/100\n");

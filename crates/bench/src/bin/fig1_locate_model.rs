@@ -6,14 +6,14 @@
 //! to the ground truth.
 
 use tapesim::prelude::*;
-use tapesim_bench::{write_csv, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 #[expect(
     clippy::cast_precision_loss,
     reason = "locate distances stay far below 2^53 MB"
 )]
 fn main() {
-    let opts = HarnessOpts::from_args(&[]);
+    let opts = HarnessOpts::from_args(&[Flag::Out]);
     let data = tapesim::fig1_locate_model(2130, 0x51);
 
     println!("Figure 1: locate time vs distance (Exabyte EXB-8505XL model)\n");

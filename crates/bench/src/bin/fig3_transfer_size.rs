@@ -5,7 +5,7 @@ use tapesim::prelude::*;
 use tapesim_bench::{series_to_csv, series_to_table, write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Open]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open]);
     let series = tapesim::fig3_transfer_size(opts.scale, opts.open);
 
     // Throughput vs block size plot (x = block MB, y = KB/s).

@@ -8,7 +8,7 @@ use tapesim_bench::{emit_figure, Flag, HarnessOpts};
     reason = "switch counts stay far below 2^53"
 )]
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Open]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open]);
     let series = tapesim::fig6_replicas(opts.scale, opts.open);
     emit_figure(
         &opts,

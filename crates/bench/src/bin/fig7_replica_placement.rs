@@ -4,7 +4,7 @@
 use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Open]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open]);
     let series = tapesim::fig7_replica_placement(opts.scale, opts.open);
     emit_figure(
         &opts,

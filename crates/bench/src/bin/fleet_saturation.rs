@@ -6,7 +6,7 @@ use tapesim_bench::fleet::{default_cases, expected_rows, saturation_csv, QUEUE_L
 use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Cache]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
     let mut cache = FigureCache::from_opts(&opts);
 
     println!(

@@ -8,10 +8,10 @@
 )]
 
 use tapesim::prelude::*;
-use tapesim_bench::{write_csv, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();
     let seeds = opts.scale.seeds();

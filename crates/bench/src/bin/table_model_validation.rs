@@ -5,10 +5,10 @@
 //! error 4.6%, mean 2.6%.
 
 use tapesim::prelude::*;
-use tapesim_bench::{write_csv, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[]);
+    let opts = HarnessOpts::from_args(&[Flag::Out]);
     let report = tapesim::model_validation();
 
     println!("Timing-model validation: 10 random walks x 100 locates+reads\n");

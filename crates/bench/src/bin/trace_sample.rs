@@ -22,7 +22,7 @@ use tapesim::sim::{check_trace, run_multi_drive_traced, MemorySink};
 use tapesim_bench::{write_trace, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Open, Flag::Trace]);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open, Flag::Trace]);
     let timing = TimingModel::paper_default();
     let cfg = opts.scale.sim_config();
     let placed = build_placement(

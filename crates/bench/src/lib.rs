@@ -1,16 +1,16 @@
 //! Shared harness code for the figure-regeneration binaries.
 //!
-//! Every binary accepts:
+//! Each binary names the [`Flag`]s it honours, and refuses every other
+//! one with a usage error (exit status 2) naming the flag rather than
+//! ignoring it:
 //!
 //! * `--scale quick|default|paper` — simulation horizon (default:
-//!   `default`, i.e. 1M simulated seconds x 3 seeds);
+//!   `default`, i.e. 1M simulated seconds x 3 seeds): every binary but
+//!   `fig1_locate_model`, `table_model_validation` and `ext_serpentine`,
+//!   which have no horizon;
 //! * `--out DIR` — also write the CSV into `DIR` (default `results/`,
-//!   created on demand; pass `--out -` to skip writing).
-//!
-//! Each binary also names the optional [`Flag`]s it honours, and refuses
-//! every other one with a usage error (exit status 2) naming the flag
-//! rather than ignoring it:
-//!
+//!   created on demand; pass `--out -` to skip writing): every binary but
+//!   `ablation_drive`, which writes no CSV;
 //! * `--open` — run the open-queuing (Poisson) variant instead of the
 //!   closed-queuing one: `all_figures`, `fig3`–`fig9`, `ext_faults` and
 //!   `trace_sample`;
@@ -61,10 +61,13 @@ pub struct HarnessOpts {
     pub resume: Option<PathBuf>,
 }
 
-/// An optional flag a figure binary may honour; every binary takes
-/// `--scale` and `--out`.
+/// A flag a figure binary may honour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flag {
+    /// `--scale quick|default|paper`: the simulation horizon.
+    Scale,
+    /// `--out DIR|-`: where the CSV goes.
+    Out,
     /// `--open`: the open-queuing variant.
     Open,
     /// `--trace FILE`: a JSONL event trace of the representative run.
@@ -77,6 +80,8 @@ impl Flag {
     /// The flag's part of the usage line.
     fn usage(self) -> &'static str {
         match self {
+            Flag::Scale => " [--scale quick|default|paper]",
+            Flag::Out => " [--out DIR|-]",
             Flag::Open => " [--open]",
             Flag::Trace => " [--trace FILE]",
             Flag::Cache => " [--checkpoint FILE] [--resume FILE]",
@@ -111,8 +116,8 @@ impl HarnessOpts {
         }
     }
 
-    /// Parses the arguments after the program name. An optional flag
-    /// missing from `accepts` is an error that names the flag.
+    /// Parses the arguments after the program name. A flag missing from
+    /// `accepts` is an error that names the flag.
     pub fn parse(
         args: impl IntoIterator<Item = String>,
         accepts: &[Flag],
@@ -120,7 +125,9 @@ impl HarnessOpts {
         let mut opts = HarnessOpts {
             scale: Scale::Default,
             open: false,
-            out_dir: Some(PathBuf::from("results")),
+            out_dir: accepts
+                .contains(&Flag::Out)
+                .then(|| PathBuf::from("results")),
             trace: None,
             checkpoint: None,
             resume: None,
@@ -129,6 +136,8 @@ impl HarnessOpts {
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             let flag = match a.as_str() {
+                "--scale" => Some(Flag::Scale),
+                "--out" => Some(Flag::Out),
                 "--open" => Some(Flag::Open),
                 "--trace" => Some(Flag::Trace),
                 "--checkpoint" | "--resume" => Some(Flag::Cache),
@@ -178,10 +187,10 @@ impl HarnessOpts {
     }
 }
 
-/// The usage line, listing only the optional flags in `accepts`.
+/// The usage line, listing only the flags in `accepts`.
 fn usage(accepts: &[Flag]) -> String {
-    let optional: String = accepts.iter().map(|f| f.usage()).collect();
-    format!("usage: <figure-binary> [--scale quick|default|paper] [--out DIR|-]{optional}\n")
+    let flags: String = accepts.iter().map(|f| f.usage()).collect();
+    format!("usage: <figure-binary>{flags}\n")
 }
 
 /// Figure-level checkpoint cache behind `--checkpoint` / `--resume`.
@@ -635,7 +644,7 @@ mod tests {
         assert_eq!(resumed.get("fig4_closed"), Some(CSV_A));
     }
 
-    const ALL: [Flag; 3] = [Flag::Open, Flag::Trace, Flag::Cache];
+    const ALL: [Flag; 5] = [Flag::Scale, Flag::Out, Flag::Open, Flag::Trace, Flag::Cache];
 
     fn parse(args: &[&str], accepts: &[Flag]) -> Result<HarnessOpts, ParseStop> {
         HarnessOpts::parse(args.iter().map(|a| (*a).to_string()), accepts)
@@ -646,7 +655,7 @@ mod tests {
         for flag in ["--checkpoint", "--resume"] {
             match parse(
                 &["--scale", "quick", flag, "f.ckpt"],
-                &[Flag::Open, Flag::Trace],
+                &[Flag::Scale, Flag::Open, Flag::Trace],
             ) {
                 Err(ParseStop::Error(e)) => assert!(e.contains(flag), "{e}"),
                 other => panic!("{flag} accepted without a cache: {other:?}"),
@@ -675,14 +684,40 @@ mod tests {
             assert!(parse(args, &[flag]).is_ok());
         }
         assert_eq!(
-            usage(&[]),
+            usage(&[Flag::Scale, Flag::Out]),
             "usage: <figure-binary> [--scale quick|default|paper] [--out DIR|-]\n"
         );
     }
 
     #[test]
+    fn scale_and_out_are_errors_where_not_honoured() {
+        for (args, flag) in [
+            (&["--scale", "quick"][..], Flag::Scale),
+            (&["--out", "-"], Flag::Out),
+        ] {
+            let others: Vec<Flag> = ALL.into_iter().filter(|f| *f != flag).collect();
+            match parse(args, &others) {
+                Err(ParseStop::Error(e)) => assert!(e.contains(args[0]), "{e}"),
+                other => panic!("{} accepted: {other:?}", args[0]),
+            }
+            assert!(!usage(&others).contains(args[0]));
+            assert!(parse(args, &[flag]).is_ok());
+        }
+        // A binary that writes no CSV has nowhere to write one.
+        assert_eq!(parse(&[], &[Flag::Scale]).unwrap().out_dir, None);
+        assert_eq!(
+            parse(&[], &[Flag::Out]).unwrap().out_dir,
+            Some(PathBuf::from("results"))
+        );
+    }
+
+    #[test]
     fn other_flags_parse_or_stop() {
-        let opts = parse(&["--scale", "paper", "--open", "--out", "-"], &[Flag::Open]).unwrap();
+        let opts = parse(
+            &["--scale", "paper", "--open", "--out", "-"],
+            &[Flag::Scale, Flag::Out, Flag::Open],
+        )
+        .unwrap();
         assert_eq!(opts.scale, Scale::Paper);
         assert!(opts.open && opts.out_dir.is_none());
         assert_eq!(

@@ -1,9 +1,10 @@
 //! The figure binaries' flag handling, run as processes: a binary stops
-//! at an optional flag it does not honour (`--checkpoint` or `--resume`
-//! without a figure cache, `--trace` without a traced run, `--open`
-//! without an open-queuing variant) with a usage error (exit status 2)
-//! naming the flag, before any simulation; one that keeps a cache lists
-//! both cache flags in its usage.
+//! at a flag it does not honour (`--checkpoint` or `--resume` without a
+//! figure cache, `--trace` without a traced run, `--open` without an
+//! open-queuing variant, `--scale` without a simulation horizon, `--out`
+//! without a CSV) with a usage error (exit status 2) naming the flag,
+//! before any simulation; one that keeps a cache lists both cache flags
+//! in its usage.
 
 use std::process::{Command, Output};
 
@@ -48,10 +49,34 @@ fn untraced_binary_refuses_trace_and_writes_no_file() {
 #[test]
 fn binary_without_open_variant_refuses_open() {
     let out = Command::new(env!("CARGO_BIN_EXE_fig1_locate_model"))
-        .args(["--scale", "quick", "--out", "-", "--open"])
+        .args(["--out", "-", "--open"])
         .output()
         .unwrap();
     assert_refused(&out, "--open");
+}
+
+#[test]
+fn binaries_without_a_horizon_refuse_scale() {
+    for exe in [
+        env!("CARGO_BIN_EXE_fig1_locate_model"),
+        env!("CARGO_BIN_EXE_table_model_validation"),
+        env!("CARGO_BIN_EXE_ext_serpentine"),
+    ] {
+        let out = Command::new(exe)
+            .args(["--scale", "quick", "--out", "-"])
+            .output()
+            .unwrap();
+        assert_refused(&out, "--scale");
+    }
+}
+
+#[test]
+fn binary_without_a_csv_refuses_out() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ablation_drive"))
+        .args(["--scale", "quick", "--out", "-"])
+        .output()
+        .unwrap();
+    assert_refused(&out, "--out");
 }
 
 #[test]
