@@ -1,15 +1,10 @@
 //! Runs every figure and table binary's logic in sequence — the one-shot
 //! "regenerate the paper's evaluation" entry point.
-//!
-//! With `--checkpoint FILE` each figure's CSV is recorded as it finishes;
-//! a killed run restarted with `--resume FILE` replays the finished
-//! figures byte-for-byte and recomputes only the remainder.
 
-use tapesim_bench::{emit_figure_cached, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{emit_figure, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open]);
     println!("=== Reproducing Hillyer/Rastogi/Silberschatz, ICDE 1999 ===\n");
 
     println!("--- Figure 1 + Section 2.1 validation ---");
@@ -28,73 +23,66 @@ fn main() {
     );
 
     println!("--- Figure 3 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig3_transfer_size",
         "Figure 3",
         "block_mb",
-        || tapesim::fig3_transfer_size(opts.scale, opts.open),
+        &tapesim::fig3_transfer_size(opts.scale, opts.open),
     );
 
     println!("--- Figure 4 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig4_sched_norepl",
         "Figure 4",
         "intensity",
-        || tapesim::fig4_sched_algorithms(opts.scale, opts.open),
+        &tapesim::fig4_sched_algorithms(opts.scale, opts.open),
     );
 
     println!("--- Figure 5 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig5_placement",
         "Figure 5",
         "intensity",
-        || tapesim::fig5_placement(opts.scale, opts.open),
+        &tapesim::fig5_placement(opts.scale, opts.open),
     );
 
     println!("--- Figure 6 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig6_replicas",
         "Figure 6",
         "intensity",
-        || tapesim::fig6_replicas(opts.scale, opts.open),
+        &tapesim::fig6_replicas(opts.scale, opts.open),
     );
 
     println!("--- Figure 7 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig7_replica_placement",
         "Figure 7",
         "intensity",
-        || tapesim::fig7_replica_placement(opts.scale, opts.open),
+        &tapesim::fig7_replica_placement(opts.scale, opts.open),
     );
 
     println!("--- Figure 8 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig8_sched_repl",
         "Figure 8",
         "intensity",
-        || tapesim::fig8_sched_replication(opts.scale, opts.open),
+        &tapesim::fig8_sched_replication(opts.scale, opts.open),
     );
 
     println!("--- Figure 9 ---");
-    emit_figure_cached(
+    emit_figure(
         &opts,
-        &mut cache,
         "fig9_skew",
         "Figure 9",
         "intensity",
-        || tapesim::fig9_skew(opts.scale, opts.open),
+        &tapesim::fig9_skew(opts.scale, opts.open),
     );
 
     println!("--- Figure 10 ---");

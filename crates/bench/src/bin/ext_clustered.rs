@@ -12,11 +12,10 @@
 )]
 
 use tapesim::prelude::*;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();
     let placed = build_placement(
@@ -33,7 +32,7 @@ fn main() {
         AlgorithmId::paper_recommended(),
     ];
     println!("Clustered-workload extension: PH-10 RH-40 NR-0 SP-0, closed queue 60\n");
-    let (csv, _) = cached_csv(&mut cache, "ext_clustered", || {
+    let csv = {
         let mut t = Table::new(["run_p", "mean run", "algorithm", "KB/s", "delay s"]);
         for run_p in [0.0, 0.5, 0.8, 0.95] {
             let mut ranking = Vec::new();
@@ -78,7 +77,7 @@ fn main() {
         }
         println!("\n{}", t.to_aligned());
         t.to_csv()
-    });
+    };
     write_csv(&opts, "ext_clustered", &csv);
     println!("(clustering raises absolute throughput; the paper's algorithm ranking persists)");
 }

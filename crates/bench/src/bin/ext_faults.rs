@@ -16,7 +16,7 @@
 
 use tapesim::model::Micros;
 use tapesim::prelude::*;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 /// Fault intensities swept: (label, media error probability per read,
 /// whole-tape MTBF in seconds; `None` = no tape failures).
@@ -28,14 +28,13 @@ const LEVELS: [(&str, f64, Option<u64>); 4] = [
 ];
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Open]);
 
     println!(
         "Fault injection: PH-10 RH-40, envelope max-bandwidth, {} queue\n",
         opts.variant()
     );
-    let (csv, _) = cached_csv(&mut cache, "ext_faults", || {
+    let csv = {
         let mut t = Table::new([
             "NR",
             "faults",
@@ -89,7 +88,7 @@ fn main() {
         }
         println!("{}", t.to_aligned());
         t.to_csv()
-    });
+    };
     write_csv(&opts, "ext_faults", &csv);
     println!(
         "(failed = requests whose every copy was permanently lost; replication\n \

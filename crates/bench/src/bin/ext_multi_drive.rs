@@ -8,16 +8,15 @@
 
 use tapesim::prelude::*;
 use tapesim::sim::run_multi_drive;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();
 
     println!("Multi-drive extension: closed queue 120, PH-10 RH-40, envelope max-bandwidth\n");
-    let (csv, _) = cached_csv(&mut cache, "ext_multi_drive", || {
+    let csv = {
         let mut t = Table::new(["layout", "drives", "KB/s", "speedup", "delay s", "switches"]);
         for (label, cfg) in [
             ("no replication", PlacementConfig::paper_baseline()),
@@ -69,7 +68,7 @@ fn main() {
         }
         println!("{}", t.to_aligned());
         t.to_csv()
-    });
+    };
     write_csv(&opts, "ext_multi_drive", &csv);
     println!("(speedup is sub-linear: drives contend for the shared robot arm,\n and concurrent sweeps steal each other's batching opportunities)");
 }

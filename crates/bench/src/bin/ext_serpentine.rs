@@ -14,11 +14,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tapesim::model::{logical_sweep_order, nearest_neighbor_order, SerpentineModel, SlotIndex};
 use tapesim::prelude::*;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Out, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Out]);
     let m = SerpentineModel::dlt_like();
     let block = BlockSize::PAPER_DEFAULT;
     let slots = m.geometry.slots(block);
@@ -27,7 +26,7 @@ fn main() {
         m.name, m.geometry.tracks, m.geometry.track_length_mb, slots, block
     );
 
-    let (csv, _) = cached_csv(&mut cache, "ext_serpentine", || {
+    let csv = {
         let mut t = Table::new([
             "batch",
             "fifo s",
@@ -67,7 +66,7 @@ fn main() {
         }
         println!("{}", t.to_aligned());
         t.to_csv()
-    });
+    };
     write_csv(&opts, "ext_serpentine", &csv);
     println!(
         "(sorting by logical position — the paper's sweep — already beats FIFO, but a\n\

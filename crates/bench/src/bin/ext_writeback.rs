@@ -13,11 +13,10 @@ use tapesim::prelude::*;
 use tapesim::sim::{
     run_with_writeback, run_with_writeback_traced, FlushPolicy, MemorySink, WriteBackConfig,
 };
-use tapesim_bench::{cached_csv, write_csv, write_trace, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, write_trace, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Trace, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Trace]);
     let timing = TimingModel::paper_default();
     let sim = opts.scale.sim_config();
     let placed = build_placement(
@@ -30,7 +29,7 @@ fn main() {
     println!(
         "Write-back extension: open reads (1 per 300 s), PH-10 RH-40, envelope max-bandwidth\n"
     );
-    let (csv, _) = cached_csv(&mut cache, "ext_writeback", || {
+    let csv = {
         let mut t = Table::new([
             "write gap s",
             "policy",
@@ -83,7 +82,7 @@ fn main() {
         }
         println!("{}", t.to_aligned());
         t.to_csv()
-    });
+    };
     write_csv(&opts, "ext_writeback", &csv);
     if opts.trace.is_some() {
         // Record the representative piggyback run (write gap 300 s) with

@@ -14,7 +14,7 @@
 
 use tapesim::prelude::*;
 use tapesim::workload::ZipfSampler;
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn run_zipf(
     placed: &tapesim::layout::PlacedCatalog,
@@ -49,8 +49,7 @@ fn run_zipf(
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
     let sim = opts.scale.sim_config();
     let seeds = opts.scale.seeds();
 
@@ -68,7 +67,7 @@ fn main() {
     .expect("feasible");
 
     println!("Zipf-skew extension: closed queue 60; exponent fitted to the paper's (PH-10, RH)\n");
-    let (csv, _) = cached_csv(&mut cache, "ext_zipf", || {
+    let csv = {
         let mut t = Table::new([
             "RH-equiv",
             "theta",
@@ -105,7 +104,7 @@ fn main() {
         }
         println!("{}", t.to_aligned());
         t.to_csv()
-    });
+    };
     write_csv(&opts, "ext_zipf", &csv);
     println!(
         "(the paper's conclusions survive a smoother skew: scheduling dominates FIFO and\n\

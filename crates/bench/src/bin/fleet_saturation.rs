@@ -3,19 +3,16 @@
 //! cross-library replica placement (NR ∈ {0, 1, 3}).
 
 use tapesim_bench::fleet::{default_cases, expected_rows, saturation_csv, QUEUE_LENGTH};
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
 
     println!(
         "Fleet saturation: {} fleet shapes, closed queue {QUEUE_LENGTH}, PH-10 RH-40, envelope max-bandwidth\n",
         default_cases().len()
     );
-    let (csv, _) = cached_csv(&mut cache, "fleet_saturation", || {
-        saturation_csv(opts.scale)
-    });
+    let csv = saturation_csv(opts.scale);
     let rows = csv.lines().count().saturating_sub(1);
     assert_eq!(
         rows,

@@ -3,19 +3,16 @@
 //! permanent tape-loss fault axis.
 
 use tapesim_bench::redundancy::{default_schemes, expected_rows, redundancy_csv, QUEUE_LENGTH};
-use tapesim_bench::{cached_csv, write_csv, FigureCache, Flag, HarnessOpts};
+use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
-    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out, Flag::Cache]);
-    let mut cache = FigureCache::from_opts(&opts);
+    let opts = HarnessOpts::from_args(&[Flag::Scale, Flag::Out]);
 
     println!(
         "Redundancy study: {} schemes at matched expansion, closed queue {QUEUE_LENGTH}, PH-10 RH-40, envelope max-bandwidth\n",
         default_schemes().len()
     );
-    let (csv, _) = cached_csv(&mut cache, "redundancy_study", || {
-        redundancy_csv(opts.scale)
-    });
+    let csv = redundancy_csv(opts.scale);
     let rows = csv.lines().count().saturating_sub(1);
     assert_eq!(
         rows,

@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use tapesim_layout::{BlockId, Catalog};
+use tapesim_layout::{BlockId, Catalog, StripeInfo};
 use tapesim_model::{FaultConfig, SimTime, TapeId, TimingModel};
 use tapesim_sched::Scheduler;
 use tapesim_workload::{ArrivalProcess, BlockSampler, Request, RequestFactory, RequestId};
@@ -104,7 +104,7 @@ pub fn run_erasure_simulation(
 
     // The logical request stream is ours; the engine's copy is inert
     // (external mode never reads it).
-    let mut factory = RequestFactory::new(sampler.clone(), process, seed);
+    let factory = RequestFactory::new(sampler.clone(), process, seed);
     let mut engine_factory = RequestFactory::new(sampler, process, seed);
     let mut sink = NullSink;
     let mut engine = SteppedMultiDrive::new_external(
@@ -120,10 +120,16 @@ pub fn run_erasure_simulation(
     )?;
 
     let closed = matches!(process, ArrivalProcess::Closed { .. });
-    let mut joins: BTreeMap<u64, Join> = BTreeMap::new();
-    let mut sub_of: BTreeMap<RequestId, u64> = BTreeMap::new();
-    let mut dead_cells: BTreeSet<u32> = BTreeSet::new();
-    let mut metrics = MetricsCollector::new(warmup_end);
+    let mut reads = Reads {
+        catalog,
+        timing,
+        stripe,
+        factory,
+        metrics: MetricsCollector::new(warmup_end),
+        joins: BTreeMap::new(),
+        sub_of: BTreeMap::new(),
+        dead_cells: BTreeSet::new(),
+    };
     let mut ec_unavailable = 0u64;
     let mut failovers = 0u64;
 
@@ -132,25 +138,11 @@ pub fn run_erasure_simulation(
     match process {
         ArrivalProcess::Closed { queue_length } => {
             for _ in 0..queue_length {
-                let req = factory.make(SimTime::ZERO);
-                metrics.record_admission();
-                admit(
-                    &mut engine,
-                    catalog,
-                    timing,
-                    &stripe,
-                    &dead_cells,
-                    &mut joins,
-                    &mut sub_of,
-                    req,
-                )?;
+                reads.admit_next(&mut engine, SimTime::ZERO)?;
             }
         }
         ArrivalProcess::OpenPoisson { .. } => {
-            let gap = factory
-                .next_interarrival()
-                .ok_or(SimError::ClosedArrivalStream)?;
-            next_arrival = Some(SimTime::ZERO + gap);
+            next_arrival = Some(reads.next_arrival_after(SimTime::ZERO)?);
         }
     }
 
@@ -165,22 +157,8 @@ pub fn run_erasure_simulation(
             if t > engine.now() {
                 break;
             }
-            let req = factory.make(t);
-            metrics.record_admission();
-            admit(
-                &mut engine,
-                catalog,
-                timing,
-                &stripe,
-                &dead_cells,
-                &mut joins,
-                &mut sub_of,
-                req,
-            )?;
-            let gap = factory
-                .next_interarrival()
-                .ok_or(SimError::ClosedArrivalStream)?;
-            next_arrival = Some(t + gap);
+            reads.admit_next(&mut engine, t)?;
+            next_arrival = Some(reads.next_arrival_after(t)?);
         }
         match next_arrival {
             // An arrival inside the run: step up to it, then deliver.
@@ -192,22 +170,8 @@ pub fn run_erasure_simulation(
             Some(t) if t < engine.horizon() => {
                 engine.step_until(t)?;
                 if !engine.is_done() {
-                    let req = factory.make(t);
-                    metrics.record_admission();
-                    admit(
-                        &mut engine,
-                        catalog,
-                        timing,
-                        &stripe,
-                        &dead_cells,
-                        &mut joins,
-                        &mut sub_of,
-                        req,
-                    )?;
-                    let gap = factory
-                        .next_interarrival()
-                        .ok_or(SimError::ClosedArrivalStream)?;
-                    next_arrival = Some(t + gap);
+                    reads.admit_next(&mut engine, t)?;
+                    next_arrival = Some(reads.next_arrival_after(t)?);
                 }
             }
             // Closed queue, or the remaining open arrivals fall past the
@@ -224,37 +188,28 @@ pub fn run_erasure_simulation(
                 EngineEvent::Completed { req, at } => (req, at, true),
                 EngineEvent::Failed { req, at } => (req, at, false),
             };
-            let Some(lid) = sub_of.remove(&sub) else {
+            let Some(lid) = reads.sub_of.remove(&sub) else {
                 continue; // sub of an already-doomed logical read
             };
-            let Some(join) = joins.get_mut(&lid) else {
+            let Some(join) = reads.joins.get_mut(&lid) else {
                 continue;
             };
             if ok {
                 join.remaining -= 1;
                 if join.remaining > 0 || join.doomed {
                     if join.remaining == 0 {
-                        joins.remove(&lid);
+                        reads.joins.remove(&lid);
                     }
                     continue;
                 }
-                let logical = joins.remove(&lid).map(|j| j.logical);
+                let logical = reads.joins.remove(&lid).map(|j| j.logical);
                 if let Some(logical) = logical {
-                    metrics.record_completion(logical.arrival, at, logical_bytes);
+                    reads
+                        .metrics
+                        .record_completion(logical.arrival, at, logical_bytes);
                 }
                 if closed {
-                    let req = factory.make(at);
-                    metrics.record_admission();
-                    admit(
-                        &mut engine,
-                        catalog,
-                        timing,
-                        &stripe,
-                        &dead_cells,
-                        &mut joins,
-                        &mut sub_of,
-                        req,
-                    )?;
+                    reads.admit_next(&mut engine, at)?;
                 }
                 continue;
             }
@@ -266,45 +221,34 @@ pub fn run_erasure_simulation(
             // bonus. Then retarget onto the cheapest surviving unused
             // cell, or fail the logical read when fewer than `k` cells
             // of the stripe are left.
-            mark_dead_cells(catalog, &stripe, join, &mut dead_cells, &engine);
+            mark_dead_cells(catalog, &stripe, join, &mut reads.dead_cells, &engine);
             if join.doomed {
                 join.remaining -= 1;
                 if join.remaining == 0 {
-                    joins.remove(&lid);
+                    reads.joins.remove(&lid);
                 }
                 continue;
             }
             let replacement =
-                replacement_cell(catalog, timing, &stripe, join, &dead_cells, &engine);
+                replacement_cell(catalog, timing, &stripe, join, &reads.dead_cells, &engine);
             match replacement {
                 Some(cell) => {
                     join.used.push(cell);
                     failovers += 1;
                     let sub = engine.submit_at(BlockId(cell), at)?;
-                    sub_of.insert(sub, lid);
+                    reads.sub_of.insert(sub, lid);
                 }
                 None => {
                     join.doomed = true;
                     join.remaining -= 1;
                     ec_unavailable += 1;
-                    metrics.record_permanent_failure();
+                    reads.metrics.record_permanent_failure();
                     let done = join.remaining == 0;
                     if done {
-                        joins.remove(&lid);
+                        reads.joins.remove(&lid);
                     }
                     if closed {
-                        let req = factory.make(at);
-                        metrics.record_admission();
-                        admit(
-                            &mut engine,
-                            catalog,
-                            timing,
-                            &stripe,
-                            &dead_cells,
-                            &mut joins,
-                            &mut sub_of,
-                            req,
-                        )?;
+                        reads.admit_next(&mut engine, at)?;
                     }
                 }
             }
@@ -327,9 +271,11 @@ pub fn run_erasure_simulation(
     } else {
         cfg.duration - cfg.warmup
     };
-    let unserved = joins.values().filter(|j| !j.doomed).count() as u64;
-    metrics.set_fault_accounting(0, Vec::new(), tapesim_model::Micros::ZERO, unserved);
-    let logical = metrics.report(window, saturated);
+    let unserved = reads.joins.values().filter(|j| !j.doomed).count() as u64;
+    reads
+        .metrics
+        .set_fault_accounting(0, Vec::new(), tapesim_model::Micros::ZERO, unserved);
+    let logical = reads.metrics.report(window, saturated);
     Ok(MetricsReport {
         completed: logical.completed,
         throughput_kb_per_s: logical.throughput_kb_per_s,
@@ -350,49 +296,71 @@ pub fn run_erasure_simulation(
     })
 }
 
-/// Expands one logical request into `k` subs and registers the join.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "admission reads the stripe layout and updates the join tables piecewise"
-)]
-fn admit(
-    engine: &mut SteppedMultiDrive<'_>,
-    catalog: &Catalog,
-    timing: &TimingModel,
-    stripe: &tapesim_layout::StripeInfo,
-    dead_cells: &BTreeSet<u32>,
-    joins: &mut BTreeMap<u64, Join>,
-    sub_of: &mut BTreeMap<RequestId, u64>,
-    req: Request,
-) -> Result<(), SimError> {
-    let mounted = mounted_tapes(engine);
-    // Tapes of this stripe's known-dead cells: within one stripe, cells
-    // sit on distinct tapes (hot) or one tape (cold), so per-cell and
-    // per-tape deadness coincide for ranking purposes.
-    let (first, count) = stripe.cells_of(req.block.0);
-    let mut lost: Vec<TapeId> = (first..first + count)
-        .filter(|c| dead_cells.contains(c))
-        // Striped catalogs store exactly one address per shard cell.
-        .map(|c| catalog.replicas(BlockId(c))[0].tape)
-        .collect();
-    lost.sort_unstable();
-    lost.dedup();
-    let cells = tapesim_sched::choose_shards(timing, catalog, req.block.0, &mounted, &lost);
-    let lid = req.id.0;
-    let mut join = Join {
-        logical: req,
-        remaining: 0,
-        used: Vec::with_capacity(cells.len()),
-        doomed: false,
-    };
-    for cell in cells {
-        let sub = engine.submit_at(BlockId(cell), req.arrival)?;
-        sub_of.insert(sub, lid);
-        join.used.push(cell);
-        join.remaining += 1;
+/// The driver's logical side: the logical request stream, the collector
+/// that counts logical reads, and the joins of the reads in flight.
+struct Reads<'c> {
+    catalog: &'c Catalog,
+    timing: &'c TimingModel,
+    stripe: StripeInfo,
+    factory: RequestFactory,
+    metrics: MetricsCollector,
+    /// Logical request id → its join.
+    joins: BTreeMap<u64, Join>,
+    /// Sub-request id → logical request id.
+    sub_of: BTreeMap<RequestId, u64>,
+    /// Cells known to be lost forever.
+    dead_cells: BTreeSet<u32>,
+}
+
+impl Reads<'_> {
+    /// Draws the next logical request, arriving at `at`, counts its
+    /// admission, expands it into `k` subs and registers the join.
+    fn admit_next(
+        &mut self,
+        engine: &mut SteppedMultiDrive<'_>,
+        at: SimTime,
+    ) -> Result<(), SimError> {
+        let req = self.factory.make(at);
+        self.metrics.record_admission();
+        let mounted = mounted_tapes(engine);
+        // Tapes of this stripe's known-dead cells: within one stripe, cells
+        // sit on distinct tapes (hot) or one tape (cold), so per-cell and
+        // per-tape deadness coincide for ranking purposes.
+        let (first, count) = self.stripe.cells_of(req.block.0);
+        let mut lost: Vec<TapeId> = (first..first + count)
+            .filter(|c| self.dead_cells.contains(c))
+            // Striped catalogs store exactly one address per shard cell.
+            .map(|c| self.catalog.replicas(BlockId(c))[0].tape)
+            .collect();
+        lost.sort_unstable();
+        lost.dedup();
+        let cells =
+            tapesim_sched::choose_shards(self.timing, self.catalog, req.block.0, &mounted, &lost);
+        let lid = req.id.0;
+        let mut join = Join {
+            logical: req,
+            remaining: 0,
+            used: Vec::with_capacity(cells.len()),
+            doomed: false,
+        };
+        for cell in cells {
+            let sub = engine.submit_at(BlockId(cell), req.arrival)?;
+            self.sub_of.insert(sub, lid);
+            join.used.push(cell);
+            join.remaining += 1;
+        }
+        self.joins.insert(lid, join);
+        Ok(())
     }
-    joins.insert(lid, join);
-    Ok(())
+
+    /// The open stream's next arrival instant after the one at `t`.
+    fn next_arrival_after(&mut self, t: SimTime) -> Result<SimTime, SimError> {
+        let gap = self
+            .factory
+            .next_interarrival()
+            .ok_or(SimError::ClosedArrivalStream)?;
+        Ok(t + gap)
+    }
 }
 
 /// The tapes currently in drives, sorted for binary search.
