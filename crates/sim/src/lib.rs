@@ -50,3 +50,30 @@ pub use writeback::{
     run_with_writeback, run_with_writeback_traced, FlushPolicy, SteppedWriteBack, WriteBackConfig,
     WriteBackReport,
 };
+
+/// The service soak at fixed seeds: each seed draws one faulted run from
+/// the inputs of the service property test and drives it through the
+/// same checks.
+#[cfg(test)]
+mod chaos {
+    mod tests {
+        use crate::service::tests::soak;
+
+        #[test]
+        #[cfg_attr(miri, ignore = "full-horizon simulation is too slow under Miri")]
+        fn soak_runs_clean_over_a_few_seeds() {
+            for seed in 0..3 {
+                let run = soak(seed);
+                let s = run.stats;
+                assert_eq!(s.submitted, s.completed + s.rejected + s.expired);
+                assert!(s.submitted > 0 && !run.trace.is_empty(), "seed {seed}");
+            }
+        }
+
+        #[test]
+        #[cfg_attr(miri, ignore = "full-horizon simulation is too slow under Miri")]
+        fn service_soak_is_a_pure_function_of_its_seed() {
+            assert!(soak(11) == soak(11), "seed 11 replayed differently");
+        }
+    }
+}
