@@ -17,6 +17,9 @@
 //! * `--trace FILE` — record the event trace of the representative run
 //!   as JSON Lines into `FILE` (see EXPERIMENTS.md for the schema):
 //!   `trace_sample` and `ext_writeback`.
+//!
+//! A value of `--out` or `--trace` that starts with `--` is another flag,
+//! so it is refused as a missing value.
 
 #![forbid(unsafe_code)]
 
@@ -124,8 +127,9 @@ impl HarnessOpts {
             if flag.is_some_and(|f| !accepts.contains(&f)) {
                 return err(format!("{a} is not supported by this binary"));
             }
+            // A flag is never another flag's value.
             let mut value = |what: &str| match args.next() {
-                Some(v) if !v.is_empty() => Ok(v),
+                Some(v) if !v.is_empty() && !v.starts_with("--") => Ok(v),
                 _ => Err(ParseStop::Error(format!("{a} needs {what}"))),
             };
             match a.as_str() {
@@ -381,6 +385,8 @@ mod tests {
             &["--trace"],
             &["--out"],
             &["--out", ""],
+            &["--out", "--open"],
+            &["--trace", "--open", "--out", "-"],
             &["--x"],
         ] {
             assert!(

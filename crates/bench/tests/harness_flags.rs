@@ -98,7 +98,7 @@ fn binary_without_a_csv_refuses_out() {
 fn out_without_a_directory_is_refused() {
     let cwd = std::env::temp_dir().join(format!("tapesim-bare-out-{}", std::process::id()));
     std::fs::create_dir_all(&cwd).unwrap();
-    let outs: Vec<Output> = [&["--out"][..], &["--out", ""]]
+    let outs: Vec<Output> = [&["--out"][..], &["--out", ""], &["--out", "--open"]]
         .iter()
         .map(|args| {
             Command::new(env!("CARGO_BIN_EXE_ext_serpentine"))
