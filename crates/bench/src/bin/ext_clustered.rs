@@ -12,6 +12,7 @@
 )]
 
 use tapesim::prelude::*;
+use tapesim::sim::run_seeds;
 use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
@@ -37,29 +38,19 @@ fn main() {
         for run_p in [0.0, 0.5, 0.8, 0.95] {
             let mut ranking = Vec::new();
             for alg in algorithms {
-                let mut reports = Vec::new();
-                for seed in opts.scale.seeds() {
-                    let sampler = BlockSampler::from_catalog(&placed.catalog, 40.0);
-                    let mut factory = RequestFactory::new_clustered(
-                        sampler,
-                        ArrivalProcess::Closed { queue_length: 60 },
-                        run_p,
-                        seed,
-                    );
-                    let mut sched = make_scheduler(alg);
-                    reports.push(
-                        run_multi_drive(
-                            &placed.catalog,
-                            &timing,
-                            sched.as_mut(),
-                            &mut factory,
-                            &sim,
-                            1,
-                        )
-                        .expect("clustered config is valid"),
-                    );
-                }
-                let r = MetricsReport::mean_of(&reports);
+                let spec = RunSpec {
+                    catalog: &placed.catalog,
+                    timing: &timing,
+                    algorithm: alg,
+                    process: ArrivalProcess::Closed { queue_length: 60 },
+                    rh_percent: 40.0,
+                    cluster_run_p: run_p,
+                    drives: 1,
+                    config: sim,
+                    faults: FaultConfig::NONE,
+                };
+                let (r, _) =
+                    run_seeds(&spec, &opts.scale.seeds()).expect("clustered config is valid");
                 t.push([
                     format!("{run_p}"),
                     format!("{:.1}", 1.0 / (1.0 - run_p)),

@@ -7,7 +7,7 @@
 )]
 
 use tapesim::prelude::*;
-use tapesim::sim::run_multi_drive;
+use tapesim::sim::run_seeds;
 use tapesim_bench::{write_csv, Flag, HarnessOpts};
 
 fn main() {
@@ -33,28 +33,19 @@ fn main() {
             .expect("feasible");
             let mut base = None;
             for drives in [1u16, 2, 3, 4] {
-                let mut reports = Vec::new();
-                for seed in opts.scale.seeds() {
-                    let sampler = BlockSampler::from_catalog(&placed.catalog, 40.0);
-                    let mut factory = RequestFactory::new(
-                        sampler,
-                        ArrivalProcess::Closed { queue_length: 120 },
-                        seed,
-                    );
-                    let mut sched = make_scheduler(AlgorithmId::paper_recommended());
-                    reports.push(
-                        run_multi_drive(
-                            &placed.catalog,
-                            &timing,
-                            sched.as_mut(),
-                            &mut factory,
-                            &sim,
-                            drives,
-                        )
-                        .expect("multi-drive config is valid"),
-                    );
-                }
-                let r = MetricsReport::mean_of(&reports);
+                let spec = RunSpec {
+                    catalog: &placed.catalog,
+                    timing: &timing,
+                    algorithm: AlgorithmId::paper_recommended(),
+                    process: ArrivalProcess::Closed { queue_length: 120 },
+                    rh_percent: 40.0,
+                    cluster_run_p: 0.0,
+                    drives,
+                    config: sim,
+                    faults: FaultConfig::NONE,
+                };
+                let (r, _) =
+                    run_seeds(&spec, &opts.scale.seeds()).expect("multi-drive config is valid");
                 let b = *base.get_or_insert(r.throughput_kb_per_s);
                 t.push([
                     label.to_string(),

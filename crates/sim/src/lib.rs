@@ -37,7 +37,7 @@ pub use multidrive::{
     run_fleet, run_fleet_traced, run_multi_drive, run_multi_drive_traced,
     run_multi_drive_with_faults, SimConfig, SteppedMultiDrive,
 };
-pub use runner::{default_seeds, run_one, run_paired, run_seeds, run_seeds_pooled, RunSpec};
+pub use runner::{default_seeds, run_one, run_paired, run_seeds, RunSpec};
 pub use service::{
     AdmissionPolicy, JukeboxService, ServiceConfig, ServiceStats, Ticket, TicketState,
 };

@@ -10,7 +10,7 @@ use tapesim_sched::{make_scheduler, AlgorithmId};
 use tapesim_workload::{ArrivalProcess, BlockSampler, RequestFactory};
 
 use crate::error::SimError;
-use crate::metrics::{DelayPercentiles, MetricsReport};
+use crate::metrics::MetricsReport;
 use crate::multidrive::{run_multi_drive_with_faults, SimConfig};
 
 /// Substream offset deriving a run's fault seed from its workload seed
@@ -91,20 +91,6 @@ pub fn run_seeds(
         })?
     };
     Ok((MetricsReport::mean_of(&reports), reports))
-}
-
-/// [`run_seeds`] plus true *pooled* delay percentiles: all per-seed delay
-/// samples are merged into one distribution before the percentiles are
-/// taken. Prefer these over the mean report's scalar percentile fields
-/// (which average each seed's percentile — see
-/// [`MetricsReport::mean_of`]) when reporting tail latency.
-pub fn run_seeds_pooled(
-    spec: &RunSpec<'_>,
-    seeds: &[u64],
-) -> Result<(MetricsReport, DelayPercentiles, Vec<MetricsReport>), SimError> {
-    let (mean, per_seed) = run_seeds(spec, seeds)?;
-    let pooled = mean.pooled_percentiles();
-    Ok((mean, pooled, per_seed))
 }
 
 /// Converts a thread-join panic payload into a [`SimError`], preserving
