@@ -256,21 +256,11 @@ pub fn run_erasure_simulation(
     }
 
     // Assemble the report: request-level fields from the logical
-    // collector, device-level fields from the engine. The window mirrors
-    // the engine's own convention (up to where a cut-short run got).
+    // collector, device-level fields from the engine, over the engine's
+    // own window.
     let saturated = engine.saturated();
-    let now = engine.now();
-    let end = SimTime::ZERO + cfg.duration;
+    let window = cfg.window(engine.now(), saturated);
     let engine_report = engine.finish();
-    let window = if saturated || now < end {
-        if now > warmup_end {
-            now.duration_since(warmup_end)
-        } else {
-            tapesim_model::Micros::from_micros(1)
-        }
-    } else {
-        cfg.duration - cfg.warmup
-    };
     let unserved = reads.joins.values().filter(|j| !j.doomed).count() as u64;
     reads
         .metrics

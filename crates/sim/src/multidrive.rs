@@ -68,6 +68,15 @@
 //! [`crate::service::JukeboxService`] layer drives it in external-arrival
 //! mode with [`SteppedMultiDrive::submit_at`], per-request cancellation,
 //! and administrative drive on/offlining.
+//!
+//! A dispatch runs the fault model (`apply_faults`), delivers the due
+//! arrivals (`deliver_arrivals`), then takes one of the steps above:
+//! `serve_stop` serves the next stop of the sweep; `reschedule` ends the
+//! sweep and starts the next, flushes, or idles (`idle`). Each request
+//! transition has one site: `enqueue` admits every request (submitted,
+//! drawn from the open stream, or a closed queue's `regenerate`), `fail`
+//! fails one permanently, `requeue` returns an aborted sweep's requests
+//! to the pending list, and `complete_stop` completes a stop's requests.
 #![expect(
     clippy::cast_possible_truncation,
     reason = "drive and tape indices fit u16 by geometry construction"
@@ -81,7 +90,7 @@ use tapesim_model::{
     BlockSize, FaultConfig, FaultInjector, LocateDirection, Micros, PhysicalAddr, ReadContext,
     SimTime, SlotIndex, TapeId, TimingModel, Topology,
 };
-use tapesim_sched::{FleetView, JukeboxView, PendingList, Scheduler, SweepPlan};
+use tapesim_sched::{FleetView, JukeboxView, PendingList, ScheduledRead, Scheduler, SweepPlan};
 use tapesim_workload::{ArrivalProcess, Request, RequestFactory, RequestId};
 
 use crate::error::SimError;
@@ -132,6 +141,20 @@ impl SimConfig {
             duration: Micros::from_secs(100_000),
             warmup: Micros::from_secs(10_000),
             max_pending: 5_000,
+        }
+    }
+
+    /// The metrics window of a run that stopped at `now`: warmup to
+    /// horizon for a run that reached the horizon, else up to where a
+    /// saturated or cut-short run got (1 µs if it never left the warmup).
+    pub(crate) fn window(&self, now: SimTime, saturated: bool) -> Micros {
+        let warmup_end = SimTime::ZERO + self.warmup;
+        if !saturated && now >= SimTime::ZERO + self.duration {
+            self.duration - self.warmup
+        } else if now > warmup_end {
+            now.duration_since(warmup_end)
+        } else {
+            Micros::from_micros(1)
         }
     }
 }
@@ -266,11 +289,12 @@ pub fn run_multi_drive_traced(
     Ok(engine.finish())
 }
 
-/// Runs a fleet [`Topology`] to completion:
-/// [`SteppedMultiDrive::new_with_topology`] stepped to the horizon. With
-/// a legacy topology (one library, one robot arm) this produces exactly
-/// the report of [`run_multi_drive_with_faults`] at the topology's drive
-/// count — and a byte-identical trace.
+/// Runs a fleet [`Topology`] to completion: drives spread across one or
+/// more libraries, each library's mounts serializing on its own
+/// robot-arm pool, and cross-library mounts paying the pass-through
+/// transfer. With a legacy topology (one library, one robot arm) this
+/// produces exactly the report of [`run_multi_drive_with_faults`] at the
+/// topology's drive count — and a byte-identical trace.
 #[expect(
     clippy::too_many_arguments,
     reason = "each argument is one independent run input"
@@ -314,8 +338,18 @@ pub fn run_fleet_traced(
     fault_seed: u64,
     sink: &mut dyn TraceSink,
 ) -> Result<MetricsReport, SimError> {
-    let mut engine = SteppedMultiDrive::new_with_topology(
-        catalog, timing, topology, scheduler, factory, cfg, faults, fault_seed, sink,
+    let mut engine = SteppedMultiDrive::build(
+        catalog,
+        timing,
+        scheduler,
+        factory,
+        cfg,
+        topology.total_drives(),
+        faults,
+        fault_seed,
+        sink,
+        false,
+        Some(topology),
     )?;
     while engine.step()? == StepOutcome::Running {}
     Ok(engine.finish())
@@ -337,7 +371,6 @@ pub struct SteppedMultiDrive<'a> {
     block: BlockSize,
     block_bytes: u64,
     end: SimTime,
-    warmup_end: SimTime,
     closed: bool,
     external: bool,
     pending: PendingList,
@@ -412,47 +445,13 @@ impl<'a> SteppedMultiDrive<'a> {
         )
     }
 
-    /// Builds a stepped multi-drive engine over an explicit fleet
+    /// [`SteppedMultiDrive::new_external`] over an explicit fleet
     /// [`Topology`]: drives spread across one or more libraries, each
     /// library's mounts serializing on its own robot-arm pool, and
     /// cross-library mounts paying the pass-through transfer. The drive
     /// count is the topology's total; the topology's shelf total must
-    /// match the catalog geometry. A legacy topology (one library, one
-    /// arm) behaves byte-identically to [`SteppedMultiDrive::new`].
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "each argument is one independent run input"
-    )]
-    pub fn new_with_topology(
-        catalog: &'a Catalog,
-        timing: &'a TimingModel,
-        topology: Topology,
-        scheduler: &'a mut dyn Scheduler,
-        factory: &'a mut RequestFactory,
-        cfg: &SimConfig,
-        faults: &FaultConfig,
-        fault_seed: u64,
-        sink: &'a mut dyn TraceSink,
-    ) -> Result<Self, SimError> {
-        let drives = topology.total_drives();
-        Self::build(
-            catalog,
-            timing,
-            scheduler,
-            factory,
-            cfg,
-            drives,
-            faults,
-            fault_seed,
-            sink,
-            false,
-            Some(topology),
-        )
-    }
-
-    /// [`SteppedMultiDrive::new_with_topology`] in external-arrival mode
-    /// (see [`SteppedMultiDrive::new_external`]). As there, `factory` is
-    /// inert and stays only for `tapebench`.
+    /// match the catalog geometry. As there, `factory` is inert and stays
+    /// only for `tapebench`.
     #[expect(
         clippy::too_many_arguments,
         reason = "each argument is one independent run input"
@@ -549,16 +548,12 @@ impl<'a> SteppedMultiDrive<'a> {
             ));
         }
         faults.validate().map_err(SimError::InvalidConfig)?;
+        // Fleet callers pass the topology's own drive total.
         let topology = match topology {
             Some(t) => {
                 t.check_geometry(&catalog.geometry()).map_err(|_| {
                     SimError::InvalidConfig("topology shelf total must match the geometry")
                 })?;
-                if t.total_drives() != drives {
-                    return Err(SimError::InvalidConfig(
-                        "topology drive total must match the drive count",
-                    ));
-                }
                 t
             }
             None => Topology::single(drives, catalog.geometry().tapes, timing.robot),
@@ -566,7 +561,6 @@ impl<'a> SteppedMultiDrive<'a> {
         let block = catalog.block_size();
         let block_bytes = block.bytes();
         let end = SimTime::ZERO + cfg.duration;
-        let warmup_end = SimTime::ZERO + cfg.warmup;
         let closed = !external && matches!(factory.process(), ArrivalProcess::Closed { .. });
 
         let states: Vec<DriveState> = (0..drives)
@@ -609,13 +603,12 @@ impl<'a> SteppedMultiDrive<'a> {
             block,
             block_bytes,
             end,
-            warmup_end,
             closed,
             external,
             pending: PendingList::new(),
             queued: BinaryHeap::new(),
             seq: 0,
-            metrics: MetricsCollector::new(warmup_end),
+            metrics: MetricsCollector::new(SimTime::ZERO + cfg.warmup),
             saturated: false,
             topology,
             fleet,
@@ -642,18 +635,7 @@ impl<'a> SteppedMultiDrive<'a> {
             match engine.factory.process() {
                 ArrivalProcess::Closed { queue_length } => {
                     for _ in 0..queue_length {
-                        let req = engine.factory.make(SimTime::ZERO);
-                        trace_event!(
-                            engine.tracer,
-                            SimTime::ZERO,
-                            SYSTEM_DRIVE,
-                            TraceEvent::Arrival {
-                                req: req.id,
-                                block: req.block,
-                            }
-                        );
-                        engine.pending.push(req);
-                        engine.metrics.record_admission();
+                        engine.regenerate(SimTime::ZERO);
                     }
                 }
                 ArrivalProcess::OpenPoisson { .. } => {
@@ -780,22 +762,7 @@ impl<'a> SteppedMultiDrive<'a> {
             arrival: at,
         };
         self.next_ext_id += 1;
-        trace_event!(
-            self.tracer,
-            at,
-            SYSTEM_DRIVE,
-            TraceEvent::Arrival {
-                req: req.id,
-                block: req.block,
-            }
-        );
-        self.metrics.record_admission();
-        self.queued.push(Reverse(QueuedArrival {
-            at,
-            seq: self.seq,
-            req,
-        }));
-        self.seq += 1;
+        self.enqueue(req, at);
         Ok(req.id)
     }
 
@@ -843,11 +810,7 @@ impl<'a> SteppedMultiDrive<'a> {
             // dispatch clock), keeping its trace timeline monotone.
             let at = self.states[d].free_at.max(self.now);
             if let Some(plan) = self.states[d].plan.take() {
-                for stop in plan.list.forward_stops().chain(plan.list.reverse_stops()) {
-                    for r in &stop.requests {
-                        self.pending.push(*r);
-                    }
-                }
+                self.requeue(&plan, None);
                 // The abort closes the open sweep in the trace; without
                 // this the drive's next sweep would violate the §2.2
                 // one-open-sweep-per-drive invariant.
@@ -1138,12 +1101,10 @@ impl<'a> SteppedMultiDrive<'a> {
         );
     }
 
-    /// One full drive-dispatch event, translated statement for statement
-    /// from the monolithic `'outer` loop this engine used to be.
-    #[expect(
-        clippy::too_many_lines,
-        reason = "kept statement for statement as the loop it was translated from"
-    )]
+    /// One drive-dispatch event for drive `d`: the fault model, then
+    /// delivery of the due arrivals, then one of the paper's steps —
+    /// serve the next stop of the sweep, or end the sweep and reschedule,
+    /// flush or idle.
     fn step_drive(&mut self, d: usize) -> Result<(), SimError> {
         self.now = self.states[d].free_at.max(self.now);
         self.states[d].idle = false;
@@ -1151,122 +1112,102 @@ impl<'a> SteppedMultiDrive<'a> {
             self.done = true;
             return Ok(());
         }
-
-        if self.injector.is_active() {
-            self.injector.advance(self.now);
-            // A failed drive sits out its repair; the other drives keep
-            // serving.
-            if let Some(repair) = self.injector.drive_outage(d, self.now) {
-                self.states[d].free_at = self.now + repair;
-                self.metrics.add_repair_time(self.now + repair, repair);
-                trace_event!(
-                    self.tracer,
-                    self.now + repair,
-                    d as u16,
-                    TraceEvent::DriveRepair { dur: repair }
-                );
-                return Ok(());
-            }
-            // Fail out requests no surviving copy can serve any more
-            // (transiently lost copies heal, so their requests keep
-            // waiting).
-            if self.injector.has_permanent_damage() {
-                let dead = {
-                    let injector = &self.injector;
-                    let catalog = self.catalog;
-                    self.pending.extract(|r| {
-                        catalog
-                            .replicas(r.block)
-                            .iter()
-                            .all(|a| injector.copy_lost_forever(*a))
-                    })
-                };
-                for r in dead {
-                    self.faulted.remove(&r.id);
-                    self.metrics.record_permanent_failure();
-                    trace_event!(
-                        self.tracer,
-                        self.now,
-                        SYSTEM_DRIVE,
-                        TraceEvent::RequestFailed { req: r.id }
-                    );
-                    if self.external {
-                        self.events.push(EngineEvent::Failed {
-                            req: r.id,
-                            at: self.now,
-                        });
-                    }
-                    if self.closed {
-                        let req = self.factory.make(self.now);
-                        trace_event!(
-                            self.tracer,
-                            self.now,
-                            SYSTEM_DRIVE,
-                            TraceEvent::Arrival {
-                                req: req.id,
-                                block: req.block,
-                            }
-                        );
-                        self.queued.push(Reverse(QueuedArrival {
-                            at: self.now,
-                            seq: self.seq,
-                            req,
-                        }));
-                        self.seq += 1;
-                        self.metrics.record_admission();
-                    }
-                }
-            }
-            // The tape under this drive failed: abort the sweep and let
-            // the requests fail over or wait for the repair.
-            let tape_dead = self.states[d]
-                .plan
-                .as_ref()
-                .is_some_and(|p| self.injector.is_offline(p.tape));
-            if tape_dead {
-                if let Some(plan) = self.states[d].plan.take() {
-                    trace_event!(
-                        self.tracer,
-                        self.now,
-                        d as u16,
-                        TraceEvent::TapeOffline { tape: plan.tape }
-                    );
-                    abort_plan(&plan, plan.tape, &mut self.pending, &mut self.faulted);
-                }
-                self.states[d].mounted = None;
-                self.states[d].head = SlotIndex::BOT;
-                return Ok(());
-            }
+        if self.injector.is_active() && self.apply_faults(d) {
+            return Ok(());
         }
         self.offline_buf.clear();
         self.offline_buf.extend_from_slice(self.injector.offline());
+        self.deliver_arrivals(d)?;
+        if let Some(source) = self.destage.as_mut() {
+            source.deliver(self.now);
+        }
+        if self.pending.len() > self.cfg.max_pending {
+            self.saturated = true;
+            self.done = true;
+            return Ok(());
+        }
+        if self.states[d]
+            .plan
+            .as_ref()
+            .is_some_and(|p| !p.list.is_empty())
+        {
+            self.serve_stop(d);
+        } else {
+            self.reschedule(d);
+        }
+        Ok(())
+    }
 
-        // Deliver due arrivals (Poisson stream and queued closed-queue
-        // regenerations, in time order). If drive `d` has an active sweep
-        // they go through the incremental scheduler; otherwise straight to
-        // the pending list.
+    /// Applies the fault model at the dispatch of drive `d`. A failed
+    /// drive sits out its repair; requests no surviving copy can serve
+    /// fail; a sweep whose tape failed is aborted. Returns true when that
+    /// used up the drive's event.
+    fn apply_faults(&mut self, d: usize) -> bool {
+        self.injector.advance(self.now);
+        // A failed drive sits out its repair; the other drives keep
+        // serving.
+        if let Some(repair) = self.injector.drive_outage(d, self.now) {
+            self.states[d].free_at = self.now + repair;
+            self.metrics.add_repair_time(self.now + repair, repair);
+            trace_event!(
+                self.tracer,
+                self.now + repair,
+                d as u16,
+                TraceEvent::DriveRepair { dur: repair }
+            );
+            return true;
+        }
+        // Fail out requests no surviving copy can serve any more
+        // (transiently lost copies heal, so their requests keep waiting).
+        if self.injector.has_permanent_damage() {
+            let dead = {
+                let injector = &self.injector;
+                let catalog = self.catalog;
+                self.pending.extract(|r| {
+                    catalog
+                        .replicas(r.block)
+                        .iter()
+                        .all(|a| injector.copy_lost_forever(*a))
+                })
+            };
+            for r in dead {
+                self.fail(r.id, self.now, SYSTEM_DRIVE);
+            }
+        }
+        // The tape under this drive failed: abort the sweep and let the
+        // requests fail over or wait for the repair.
+        let tape_dead = self.states[d]
+            .plan
+            .as_ref()
+            .is_some_and(|p| self.injector.is_offline(p.tape));
+        if tape_dead {
+            if let Some(plan) = self.states[d].plan.take() {
+                trace_event!(
+                    self.tracer,
+                    self.now,
+                    d as u16,
+                    TraceEvent::TapeOffline { tape: plan.tape }
+                );
+                self.requeue(&plan, Some(plan.tape));
+            }
+            self.states[d].mounted = None;
+            self.states[d].head = SlotIndex::BOT;
+            return true;
+        }
+        false
+    }
+
+    /// Delivers the due arrivals (Poisson stream and queued admissions,
+    /// in time order). If drive `d` has an active sweep they go through
+    /// the incremental scheduler; otherwise straight to the pending list.
+    fn deliver_arrivals(&mut self, d: usize) -> Result<(), SimError> {
         loop {
             // Materialize the Poisson arrival if it is the earliest event.
             if let Some(t) = self.next_arrival {
                 let heap_first = self.queued.peek().map(|Reverse(q)| q.at);
                 if t <= self.now && heap_first.is_none_or(|h| t <= h) {
                     let req = self.factory.make(t);
-                    trace_event!(
-                        self.tracer,
-                        t,
-                        SYSTEM_DRIVE,
-                        TraceEvent::Arrival {
-                            req: req.id,
-                            block: req.block,
-                        }
-                    );
-                    self.queued.push(Reverse(QueuedArrival {
-                        at: t,
-                        seq: self.seq,
-                        req,
-                    }));
-                    self.seq += 1;
-                    self.metrics.record_admission();
+                    self.enqueue(req, t);
                     let gap = self
                         .factory
                         .next_interarrival()
@@ -1280,10 +1221,10 @@ impl<'a> SteppedMultiDrive<'a> {
                 .peek()
                 .is_some_and(|Reverse(q)| q.at <= self.now);
             if !due {
-                break;
+                return Ok(());
             }
             let Some(Reverse(q)) = self.queued.pop() else {
-                break;
+                return Ok(());
             };
             tapes_held_except_into(&self.states, d, &mut self.unavailable_buf);
             let (mounted, head) = (self.states[d].mounted, self.states[d].head);
@@ -1328,236 +1269,182 @@ impl<'a> SteppedMultiDrive<'a> {
                 self.pending.push(q.req);
             }
         }
-        if let Some(source) = self.destage.as_mut() {
-            source.deliver(self.now);
-        }
-        if self.pending.len() > self.cfg.max_pending {
-            self.saturated = true;
-            self.done = true;
-            return Ok(());
-        }
+    }
 
-        let has_stops = self.states[d]
-            .plan
-            .as_ref()
-            .is_some_and(|p| !p.list.is_empty());
-        if has_stops {
-            // Execute the next stop of this drive's sweep.
-            let (stop, phase, tape) = {
-                let Some(plan) = self.states[d].plan.as_mut() else {
-                    return Ok(());
-                };
-                match plan.list.pop() {
-                    Some((stop, phase)) => (stop, phase, plan.tape),
-                    None => return Ok(()),
-                }
-            };
-            if self.tracer.on && self.states[d].cur_phase != Some(phase) {
-                self.states[d].cur_phase = Some(phase);
-                self.tracer
-                    .push(self.now, d as u16, TraceEvent::PhaseStart { tape, phase });
+    /// Serves the next stop of drive `d`'s sweep (§2.2 step 3): locate,
+    /// read with the fault model's retries, then complete the stop's
+    /// requests, or lose the copy when every retry failed.
+    fn serve_stop(&mut self, d: usize) {
+        let Some((stop, phase, tape)) = self.states[d].plan.as_mut().and_then(|plan| {
+            plan.list
+                .pop()
+                .map(|(stop, phase)| (stop, phase, plan.tape))
+        }) else {
+            return;
+        };
+        if self.tracer.on && self.states[d].cur_phase != Some(phase) {
+            self.states[d].cur_phase = Some(phase);
+            self.tracer
+                .push(self.now, d as u16, TraceEvent::PhaseStart { tape, phase });
+        }
+        let (lt, dir) = self
+            .timing
+            .drive
+            .locate(self.states[d].head, stop.slot, self.block);
+        let ctx = match dir {
+            None => ReadContext::Streaming,
+            Some(LocateDirection::Forward) => ReadContext::AfterForwardLocate,
+            Some(LocateDirection::Reverse) => ReadContext::AfterReverseLocate,
+        };
+        let rt = self.timing.drive.read_block(self.block, ctx);
+        // Drive time is attributed at the end of each segment (not
+        // lumped at the stop's end), so a stop straddling the warmup
+        // boundary is split segment by segment; the pinned one-drive
+        // reports (`tests/golden/one_drive_reports.txt`) depend on it.
+        let mut t = self.now + lt;
+        self.metrics.add_locate_time(t, lt);
+        trace_event!(
+            self.tracer,
+            t,
+            d as u16,
+            TraceEvent::Locate {
+                tape,
+                from: self.states[d].head,
+                to: stop.slot,
+                dur: lt,
             }
-            let (lt, dir) = self
-                .timing
-                .drive
-                .locate(self.states[d].head, stop.slot, self.block);
-            let ctx = match dir {
-                None => ReadContext::Streaming,
-                Some(LocateDirection::Forward) => ReadContext::AfterForwardLocate,
-                Some(LocateDirection::Reverse) => ReadContext::AfterReverseLocate,
-            };
-            let rt = self.timing.drive.read_block(self.block, ctx);
-            // Drive time is attributed at the end of each segment (not
-            // lumped at the stop's end), so a stop straddling the warmup
-            // boundary is split segment by segment; the pinned one-drive
-            // reports (`tests/golden/one_drive_reports.txt`) depend on it.
-            let mut t = self.now + lt;
-            self.metrics.add_locate_time(t, lt);
-            trace_event!(
-                self.tracer,
-                t,
-                d as u16,
-                TraceEvent::Locate {
-                    tape,
-                    from: self.states[d].head,
-                    to: stop.slot,
-                    dur: lt,
-                }
-            );
-            // Fault: every failed read attempt costs another pass over the
-            // block; exhausting the retries loses the copy.
-            let mut read_ok = true;
-            if self.injector.is_active() {
-                let mut tries = 0u32;
-                while self.injector.media_error() {
-                    t += rt;
-                    self.metrics.add_read_time(t, rt);
-                    trace_event!(
-                        self.tracer,
-                        t,
-                        d as u16,
-                        TraceEvent::MediaError {
-                            tape,
-                            slot: stop.slot,
-                        }
-                    );
-                    if tries >= self.faults.media_retries {
-                        read_ok = false;
-                        break;
-                    }
-                    tries += 1;
-                }
-            }
-            if !read_ok {
-                let done = t;
-                self.states[d].head = stop.slot.next();
-                self.states[d].free_at = done;
-                self.injector.mark_bad_copy(
-                    PhysicalAddr {
-                        tape,
-                        slot: stop.slot,
-                    },
-                    done,
-                );
+        );
+        // Fault: every failed read attempt costs another pass over the
+        // block; exhausting the retries loses the copy.
+        if self.injector.is_active() {
+            let mut tries = 0u32;
+            while self.injector.media_error() {
+                t += rt;
+                self.metrics.add_read_time(t, rt);
                 trace_event!(
                     self.tracer,
-                    done,
+                    t,
                     d as u16,
-                    TraceEvent::CopyLost {
+                    TraceEvent::MediaError {
                         tape,
                         slot: stop.slot,
                     }
                 );
-                for r in &stop.requests {
-                    // A request survives while any replica is alive *or*
-                    // only transiently lost (it waits for the heal); it
-                    // fails only when every copy is gone forever.
-                    let survives = self
-                        .catalog
-                        .replicas(r.block)
-                        .iter()
-                        .any(|a| !self.injector.copy_lost_forever(*a));
-                    if survives {
-                        self.faulted.insert(r.id, tape);
-                        self.pending.push(*r);
-                    } else {
-                        self.faulted.remove(&r.id);
-                        self.metrics.record_permanent_failure();
+                if tries >= self.faults.media_retries {
+                    self.lose_copy(d, tape, &stop, t);
+                    return;
+                }
+                tries += 1;
+            }
+        }
+        t += rt;
+        let done = t;
+        self.metrics.add_read_time(done, rt);
+        self.metrics.record_physical_read(done);
+        self.states[d].head = stop.slot.next();
+        self.states[d].free_at = done;
+        trace_event!(
+            self.tracer,
+            done,
+            d as u16,
+            TraceEvent::Read {
+                tape,
+                slot: stop.slot,
+                phase,
+                dur: rt,
+            }
+        );
+        self.complete_stop(d, tape, &stop, done);
+    }
+
+    /// Every read of `stop` failed, the last ending at `done`: the copy
+    /// is lost. Each of the stop's requests waits for another copy that
+    /// is alive or only transiently lost, or fails when every copy is
+    /// gone forever.
+    fn lose_copy(&mut self, d: usize, tape: TapeId, stop: &ScheduledRead, done: SimTime) {
+        self.states[d].head = stop.slot.next();
+        self.states[d].free_at = done;
+        self.injector.mark_bad_copy(
+            PhysicalAddr {
+                tape,
+                slot: stop.slot,
+            },
+            done,
+        );
+        trace_event!(
+            self.tracer,
+            done,
+            d as u16,
+            TraceEvent::CopyLost {
+                tape,
+                slot: stop.slot,
+            }
+        );
+        for r in &stop.requests {
+            let survives = self
+                .catalog
+                .replicas(r.block)
+                .iter()
+                .any(|a| !self.injector.copy_lost_forever(*a));
+            if survives {
+                self.faulted.insert(r.id, tape);
+                self.pending.push(*r);
+            } else {
+                self.fail(r.id, done, d as u16);
+            }
+        }
+    }
+
+    /// The read of `stop` ended at `done`: completes each of its
+    /// requests, then admits their closed-queue replacements.
+    fn complete_stop(&mut self, d: usize, tape: TapeId, stop: &ScheduledRead, done: SimTime) {
+        for r in &stop.requests {
+            self.metrics
+                .record_completion(r.arrival, done, self.block_bytes);
+            if !self.faulted.is_empty() {
+                if let Some(failed_tape) = self.faulted.remove(&r.id) {
+                    if failed_tape != tape {
+                        self.metrics.record_replica_failover();
                         trace_event!(
                             self.tracer,
                             done,
                             d as u16,
-                            TraceEvent::RequestFailed { req: r.id }
-                        );
-                        if self.external {
-                            self.events.push(EngineEvent::Failed {
+                            TraceEvent::Failover {
                                 req: r.id,
-                                at: done,
-                            });
-                        }
-                        if self.closed {
-                            let req = self.factory.make(done);
-                            trace_event!(
-                                self.tracer,
-                                done,
-                                SYSTEM_DRIVE,
-                                TraceEvent::Arrival {
-                                    req: req.id,
-                                    block: req.block,
-                                }
-                            );
-                            self.queued.push(Reverse(QueuedArrival {
-                                at: done,
-                                seq: self.seq,
-                                req,
-                            }));
-                            self.seq += 1;
-                            self.metrics.record_admission();
-                        }
+                                from: failed_tape,
+                                to: tape,
+                            }
+                        );
                     }
                 }
-                return Ok(());
             }
-            t += rt;
-            let done = t;
-            self.metrics.add_read_time(done, rt);
-            self.metrics.record_physical_read(done);
-            self.states[d].head = stop.slot.next();
-            self.states[d].free_at = done;
             trace_event!(
                 self.tracer,
                 done,
                 d as u16,
-                TraceEvent::Read {
+                TraceEvent::Complete {
+                    req: r.id,
                     tape,
-                    slot: stop.slot,
-                    phase,
-                    dur: rt,
+                    delay: done.duration_since(r.arrival),
                 }
             );
-            let completions = stop.requests.len();
-            for r in &stop.requests {
-                self.metrics
-                    .record_completion(r.arrival, done, self.block_bytes);
-                if !self.faulted.is_empty() {
-                    if let Some(failed_tape) = self.faulted.remove(&r.id) {
-                        if failed_tape != tape {
-                            self.metrics.record_replica_failover();
-                            trace_event!(
-                                self.tracer,
-                                done,
-                                d as u16,
-                                TraceEvent::Failover {
-                                    req: r.id,
-                                    from: failed_tape,
-                                    to: tape,
-                                }
-                            );
-                        }
-                    }
-                }
-                trace_event!(
-                    self.tracer,
-                    done,
-                    d as u16,
-                    TraceEvent::Complete {
-                        req: r.id,
-                        tape,
-                        delay: done.duration_since(r.arrival),
-                    }
-                );
-                if self.external {
-                    self.events.push(EngineEvent::Completed {
-                        req: r.id,
-                        at: done,
-                    });
-                }
+            if self.external {
+                self.events.push(EngineEvent::Completed {
+                    req: r.id,
+                    at: done,
+                });
             }
-            if self.closed {
-                for _ in 0..completions {
-                    let req = self.factory.make(done);
-                    trace_event!(
-                        self.tracer,
-                        done,
-                        SYSTEM_DRIVE,
-                        TraceEvent::Arrival {
-                            req: req.id,
-                            block: req.block,
-                        }
-                    );
-                    self.queued.push(Reverse(QueuedArrival {
-                        at: done,
-                        seq: self.seq,
-                        req,
-                    }));
-                    self.seq += 1;
-                    self.metrics.record_admission();
-                }
-            }
-            return Ok(());
         }
+        for _ in &stop.requests {
+            self.regenerate(done);
+        }
+    }
 
-        // Sweep finished (or never started): clear it and reschedule.
+    /// Drive `d`'s sweep is finished or never started (§2.2 steps 1, 2
+    /// and 4): close it (appending a piggyback flush while its tape is
+    /// still mounted), then start the sweep the major rescheduler picks,
+    /// or flush or idle when it picks none.
+    fn reschedule(&mut self, d: usize) {
         self.states[d].cur_phase = None;
         if let Some(p) = self.states[d].plan.take() {
             trace_event!(
@@ -1573,7 +1460,7 @@ impl<'a> SteppedMultiDrive<'a> {
                 .is_some_and(|s| s.piggyback_due(p.tape))
             {
                 self.destage(d, p.tape, true);
-                return Ok(());
+                return;
             }
         }
         tapes_held_except_into(&self.states, d, &mut self.unavailable_buf);
@@ -1607,101 +1494,154 @@ impl<'a> SteppedMultiDrive<'a> {
                     }
                 );
                 if self.states[d].mounted != Some(plan.tape) && !self.mount(d, plan.tape) {
-                    abort_plan(&plan, plan.tape, &mut self.pending, &mut self.faulted);
-                    return Ok(());
+                    self.requeue(&plan, Some(plan.tape));
+                    return;
                 }
                 self.states[d].plan = Some(plan);
             }
-            None => {
-                // No read to serve: flush during idle time if a batch is
-                // buffered.
-                if let Some(tape) = self.destage.as_ref().and_then(DeltaDestage::idle_target) {
+            // No read to serve: flush during idle time if a batch is
+            // buffered.
+            None => match self.destage.as_ref().and_then(DeltaDestage::idle_target) {
+                Some(tape) => {
                     if self.states[d].mounted == Some(tape) || self.mount(d, tape) {
                         self.destage(d, tape, false);
                     }
-                    return Ok(());
                 }
-                // Nothing this drive can do: wait for the next system
-                // event (another drive's action, an arrival, or a fault
-                // repair that brings a tape back). External drivers lower
-                // `park` below the horizon so an idle engine waits for
-                // them instead of idling the run away.
-                let park = self.park;
-                let mut next = park;
-                for (i, s) in self.states.iter().enumerate() {
-                    if i != d
-                        && !s.idle
-                        && !self.admin_offline[i]
-                        && s.free_at > self.now
-                        && s.free_at < next
-                    {
-                        next = s.free_at;
-                    }
-                }
-                if let Some(t) = self.next_arrival {
-                    if t > self.now && t < next {
-                        next = t;
-                    }
-                }
-                if let Some(Reverse(q)) = self.queued.peek() {
-                    if q.at > self.now && q.at < next {
-                        next = q.at;
-                    }
-                }
-                if let Some(t) = self.injector.next_event(self.now) {
-                    if t < next {
-                        next = t;
-                    }
-                }
-                if let Some(t) = self.destage.as_ref().and_then(DeltaDestage::wake_at) {
-                    if t > self.now && t < next {
-                        next = t;
-                    }
-                }
-                if next >= park {
-                    if park >= self.end {
-                        // Check whether *any* drive still has queued work.
-                        let someone_busy = self
-                            .states
-                            .iter()
-                            .any(|s| s.plan.as_ref().is_some_and(|p| !p.list.is_empty()))
-                            || !self.queued.is_empty();
-                        if !someone_busy {
-                            let dur = self.end.duration_since(self.now);
-                            self.metrics.add_idle_time(self.end, dur);
-                            trace_event!(self.tracer, self.end, d as u16, TraceEvent::Idle { dur });
-                            self.now = self.end;
-                            self.done = true;
-                            return Ok(());
-                        }
-                    }
-                    next = park;
-                }
-                let dur = next.duration_since(self.now);
-                if dur > Micros::ZERO || !self.external {
-                    self.metrics.add_idle_time(next, dur);
-                    trace_event!(self.tracer, next, d as u16, TraceEvent::Idle { dur });
-                }
-                self.states[d].free_at = next + Micros::from_micros(1);
-                self.states[d].idle = true;
+                None => self.idle(d),
+            },
+        }
+    }
+
+    /// Nothing drive `d` can do: wait for the next system event (another
+    /// drive's action, an arrival, or a fault repair that brings a tape
+    /// back). External drivers lower `park` below the horizon so an idle
+    /// engine waits for them instead of idling the run away.
+    fn idle(&mut self, d: usize) {
+        let park = self.park;
+        let mut next = park;
+        for (i, s) in self.states.iter().enumerate() {
+            if i != d
+                && !s.idle
+                && !self.admin_offline[i]
+                && s.free_at > self.now
+                && s.free_at < next
+            {
+                next = s.free_at;
             }
         }
-        Ok(())
+        if let Some(t) = self.next_arrival {
+            if t > self.now && t < next {
+                next = t;
+            }
+        }
+        if let Some(Reverse(q)) = self.queued.peek() {
+            if q.at > self.now && q.at < next {
+                next = q.at;
+            }
+        }
+        if let Some(t) = self.injector.next_event(self.now) {
+            if t < next {
+                next = t;
+            }
+        }
+        if let Some(t) = self.destage.as_ref().and_then(DeltaDestage::wake_at) {
+            if t > self.now && t < next {
+                next = t;
+            }
+        }
+        if next >= park {
+            if park >= self.end {
+                // Check whether *any* drive still has queued work.
+                let someone_busy = self
+                    .states
+                    .iter()
+                    .any(|s| s.plan.as_ref().is_some_and(|p| !p.list.is_empty()))
+                    || !self.queued.is_empty();
+                if !someone_busy {
+                    let dur = self.end.duration_since(self.now);
+                    self.metrics.add_idle_time(self.end, dur);
+                    trace_event!(self.tracer, self.end, d as u16, TraceEvent::Idle { dur });
+                    self.now = self.end;
+                    self.done = true;
+                    return;
+                }
+            }
+            next = park;
+        }
+        let dur = next.duration_since(self.now);
+        if dur > Micros::ZERO || !self.external {
+            self.metrics.add_idle_time(next, dur);
+            trace_event!(self.tracer, next, d as u16, TraceEvent::Idle { dur });
+        }
+        self.states[d].free_at = next + Micros::from_micros(1);
+        self.states[d].idle = true;
+    }
+
+    /// Admits `req` at `at`: traces and counts the arrival and queues it
+    /// until the first operation boundary at or after `at`. Every
+    /// admission — submitted, drawn from the open stream, or a closed
+    /// queue's replacement — passes here.
+    fn enqueue(&mut self, req: Request, at: SimTime) {
+        trace_event!(
+            self.tracer,
+            at,
+            SYSTEM_DRIVE,
+            TraceEvent::Arrival {
+                req: req.id,
+                block: req.block,
+            }
+        );
+        self.metrics.record_admission();
+        self.queued.push(Reverse(QueuedArrival {
+            at,
+            seq: self.seq,
+            req,
+        }));
+        self.seq += 1;
+    }
+
+    /// A closed queue admits a request at `at`: one per queue place at
+    /// time zero, then one for each request that leaves the system,
+    /// completed or failed. Other runs admit none here.
+    fn regenerate(&mut self, at: SimTime) {
+        if self.closed {
+            let req = self.factory.make(at);
+            self.enqueue(req, at);
+        }
+    }
+
+    /// Request `req` failed permanently at `at`, observed by `drive`
+    /// ([`SYSTEM_DRIVE`] when no drive was reading it): no copy of its
+    /// block survives.
+    fn fail(&mut self, req: RequestId, at: SimTime, drive: u16) {
+        self.faulted.remove(&req);
+        self.metrics.record_permanent_failure();
+        trace_event!(self.tracer, at, drive, TraceEvent::RequestFailed { req });
+        if self.external {
+            self.events.push(EngineEvent::Failed { req, at });
+        }
+        self.regenerate(at);
+    }
+
+    /// Returns every request still scheduled in `plan` to the pending
+    /// list. After a tape failure, `failed_tape` marks each as disrupted
+    /// by that tape for failover attribution.
+    fn requeue(&mut self, plan: &SweepPlan, failed_tape: Option<TapeId>) {
+        for stop in plan.list.forward_stops().chain(plan.list.reverse_stops()) {
+            for r in &stop.requests {
+                if let Some(tape) = failed_tape {
+                    self.faulted.insert(r.id, tape);
+                }
+                self.pending.push(*r);
+            }
+        }
     }
 
     /// Closes the run and produces its metrics report. Callable at any
     /// point; requests still queued, pending, or mid-sweep count as
     /// unserved.
     pub fn finish(mut self) -> MetricsReport {
-        let window = if self.saturated || self.now < self.end {
-            if self.now > self.warmup_end {
-                self.now.duration_since(self.warmup_end)
-            } else {
-                Micros::from_micros(1)
-            }
-        } else {
-            self.cfg.duration - self.cfg.warmup
-        };
+        let window = self.cfg.window(self.now, self.saturated);
         let stranded: u64 = self
             .states
             .iter()
@@ -1772,23 +1712,6 @@ fn tapes_held_except_into(states: &[DriveState], except: usize, out: &mut Vec<Ta
             .filter_map(|(_, s)| s.mounted),
     );
     out.sort_unstable();
-}
-
-/// Requeues every request still scheduled in `plan` after its tape
-/// failed, marking each as disrupted by `failed_tape` for failover
-/// attribution.
-fn abort_plan(
-    plan: &SweepPlan,
-    failed_tape: TapeId,
-    pending: &mut PendingList,
-    faulted: &mut BTreeMap<RequestId, TapeId>,
-) {
-    for stop in plan.list.forward_stops().chain(plan.list.reverse_stops()) {
-        for r in &stop.requests {
-            faulted.insert(r.id, failed_tape);
-            pending.push(*r);
-        }
-    }
 }
 
 #[cfg(test)]
