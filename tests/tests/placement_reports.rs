@@ -1,6 +1,6 @@
 //! Placements pinned as data: every replication configuration of the
 //! paper's grid, on the paper and the five-tape geometries, plus fleet
-//! placements under both replica scopes and one erasure layout. Each row
+//! placements under both replica scopes and erasure layouts. Each row
 //! of `tests/golden/placement_reports.txt` holds one configuration's
 //! `num_blocks`, `hot_count`, `hot_tapes` and an FNV-1a hash of every
 //! block's replica list, or the [`PlacementError`] it is refused with.
@@ -64,9 +64,19 @@ fn classic() -> Vec<Scenario> {
     all
 }
 
-/// Fleet placements under both scopes: `tapebench`'s fleet-recall
-/// topology and configuration, and a two-library paper jukebox; then one
-/// erasure layout of the classic jukebox.
+fn scheme_name(scheme: PlacementScheme) -> String {
+    match scheme {
+        PlacementScheme::Replication { nr } => format!("nr-{nr}"),
+        PlacementScheme::Erasure { k, m } => format!("erasure-{k}+{m}"),
+    }
+}
+
+/// The PH-10 placements beyond the classic grid: replication over
+/// `tapebench`'s fleet-recall topology and a two-library paper jukebox,
+/// then erasure striping in both layouts, on the classic jukebox at 4+2
+/// and on both fleets at `redundancy_study`'s 2+2 (the two-library
+/// jukebox at 4+2 too). Each fleet placement is built under both replica
+/// scopes.
 fn fleets() -> Vec<Scenario> {
     let uniform = |libraries, drives, tapes| {
         Topology::uniform(
@@ -79,62 +89,61 @@ fn fleets() -> Vec<Scenario> {
         )
         .unwrap()
     };
-    let fleet_recall = JukeboxGeometry::new(200, JukeboxGeometry::PAPER_DEFAULT.tape_capacity_mb);
+    let paper = JukeboxGeometry::PAPER_DEFAULT;
+    let fleet_recall = (
+        "fleet-recall 4x50",
+        JukeboxGeometry::new(200, paper.tape_capacity_mb),
+        Some(uniform(4, 2, 50)),
+    );
+    let paper_2x5 = ("paper 2x5", paper, Some(uniform(2, 1, 5)));
+    let classic = ("paper", paper, None);
+    let (h, v) = (LayoutKind::Horizontal, LayoutKind::Vertical);
+    let nr = |nr| PlacementScheme::Replication { nr };
+    let ec = |k, m| PlacementScheme::Erasure { k, m };
+    let mut runs = vec![
+        (&fleet_recall, h, nr(1), 0.0),
+        (&paper_2x5, h, nr(2), 0.0),
+        (&paper_2x5, v, nr(3), 1.0),
+        (&classic, h, ec(4, 2), 0.0),
+        (&classic, v, ec(4, 2), 0.0),
+    ];
+    for layout in [h, v] {
+        for (k, sp) in [(2, 0.0), (2, 1.0), (4, 0.0), (4, 1.0)] {
+            runs.push((&paper_2x5, layout, ec(k, 2), sp));
+        }
+    }
+    runs.extend([h, v].map(|layout| (&fleet_recall, layout, ec(2, 2), 0.0)));
     let mut all = Vec::new();
-    for (fleet, geometry, topology, layout, nr, sp) in [
-        (
-            "fleet-recall 4x50",
-            fleet_recall,
-            uniform(4, 2, 50),
-            LayoutKind::Horizontal,
-            1,
-            0.0,
-        ),
-        (
-            "paper 2x5",
-            JukeboxGeometry::PAPER_DEFAULT,
-            uniform(2, 1, 5),
-            LayoutKind::Horizontal,
-            2,
-            0.0,
-        ),
-        (
-            "paper 2x5",
-            JukeboxGeometry::PAPER_DEFAULT,
-            uniform(2, 1, 5),
-            LayoutKind::Vertical,
-            3,
-            1.0,
-        ),
-    ] {
+    for ((fleet, geometry, topology), layout, scheme, sp) in runs {
+        let name = format!(
+            "{fleet} {} {} ph-10 sp-{sp}",
+            layout_name(layout),
+            scheme_name(scheme)
+        );
+        let cfg = PlacementConfig {
+            layout,
+            ph_percent: 10.0,
+            scheme,
+            sp,
+        };
+        let Some(topology) = topology else {
+            all.push(Scenario {
+                name,
+                geometry: *geometry,
+                cfg,
+                fleet: None,
+            });
+            continue;
+        };
         for scope in [ReplicaScope::InLibrary, ReplicaScope::CrossLibrary] {
             all.push(Scenario {
-                name: format!(
-                    "{fleet} {} nr-{nr} ph-10 sp-{sp} {scope:?}",
-                    layout_name(layout)
-                ),
-                geometry,
-                cfg: PlacementConfig {
-                    layout,
-                    ph_percent: 10.0,
-                    scheme: PlacementScheme::Replication { nr },
-                    sp,
-                },
+                name: format!("{name} {scope:?}"),
+                geometry: *geometry,
+                cfg,
                 fleet: Some((topology.clone(), scope)),
             });
         }
     }
-    all.push(Scenario {
-        name: "paper horizontal erasure-4+2 ph-10 sp-0".to_owned(),
-        geometry: JukeboxGeometry::PAPER_DEFAULT,
-        cfg: PlacementConfig {
-            layout: LayoutKind::Horizontal,
-            ph_percent: 10.0,
-            scheme: PlacementScheme::Erasure { k: 4, m: 2 },
-            sp: 0.0,
-        },
-        fleet: None,
-    });
     all
 }
 
