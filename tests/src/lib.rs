@@ -2,14 +2,7 @@
 //! library holds the fixtures that more than one test file shares, the
 //! [`pinned`] report tables, the [`envelope_reference`] oracle, and
 //! [`lint_check`], which runs clippy under the repository's lint
-//! configuration.
-//!
-//! The `#[cfg(test)]` modules below pin that configuration (`clippy.toml`
-//! and the root `[workspace.lints]` table) case by case: each test runs
-//! clippy over a snippet and asserts the exact findings. They keep the
-//! case corpus of the hand-rolled lint tool the configuration replaced,
-//! grouped as it grouped them, so each module names the concern its
-//! cases probe.
+//! configuration for the lint-fixture check (`tests/fixtures.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -18,25 +11,6 @@ pub mod envelope_reference;
 mod json;
 pub mod lint_check;
 pub mod pinned;
-
-/// Order totality and fork-join confinement.
-#[cfg(test)]
-mod contracts;
-/// Hazards next to comments and literals that once fooled a token scan.
-#[cfg(test)]
-mod lexer;
-/// One rule each: hash order, wall clock, ambient RNG, casts, panics.
-#[cfg(test)]
-mod lints;
-/// Syntactic positions the disallow-lists and panic lints must reach.
-#[cfg(test)]
-mod parse;
-/// Imports and aliases resolve to the disallowed item.
-#[cfg(test)]
-mod resolve;
-/// The exception grammar, test-code scope and per-crate scope.
-#[cfg(test)]
-mod scan;
 
 use tapesim::model::{FaultConfig, Micros};
 
