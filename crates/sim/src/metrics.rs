@@ -239,7 +239,7 @@ fn frac(part: Micros, whole: Micros) -> f64 {
 /// formula *underestimated* the tail for small `n` (e.g. the p99 of 70
 /// samples picked the 69th instead of the 70th), contradicting the
 /// documented "the delay 99% of all completed requests beat" semantics.
-fn nearest_rank(n: usize, p: f64) -> usize {
+pub(crate) fn nearest_rank(n: usize, p: f64) -> usize {
     let rank = (p * n as f64).ceil() as usize;
     rank.clamp(1, n) - 1
 }
