@@ -199,12 +199,6 @@ impl Catalog {
         self.hot_count
     }
 
-    /// Number of cold blocks.
-    #[inline]
-    pub fn cold_count(&self) -> u32 {
-        self.num_blocks() - self.hot_count
-    }
-
     /// The heat class of a block.
     #[inline]
     pub fn heat(&self, block: BlockId) -> Heat {

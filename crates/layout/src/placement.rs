@@ -70,20 +70,6 @@ pub enum PlacementScheme {
 impl PlacementScheme {
     /// No redundancy: zero replicas.
     pub const NONE: PlacementScheme = PlacementScheme::Replication { nr: 0 };
-
-    /// Physical copies (replication) or shard cells (erasure) stored per
-    /// hot block — also the distinct tapes a hot block occupies.
-    pub fn copies_per_hot(&self) -> u32 {
-        match *self {
-            PlacementScheme::Replication { nr } => nr + 1,
-            PlacementScheme::Erasure { k, m } => u32::from(k) + u32::from(m),
-        }
-    }
-
-    /// True for erasure-coded striping.
-    pub fn is_erasure(&self) -> bool {
-        matches!(self, PlacementScheme::Erasure { .. })
-    }
 }
 
 /// Parameters of a placement, mirroring the paper's experiment notation:

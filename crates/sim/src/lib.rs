@@ -43,8 +43,7 @@ pub use service::{
 };
 pub use stepped::{CheckpointOpts, EngineEvent, StepOutcome};
 pub use trace::{
-    check_trace, JsonlSink, MemorySink, NullSink, RingSink, TraceEvent, TraceRecord, TraceSink,
-    Tracer,
+    check_trace, JsonlSink, MemorySink, NullSink, TraceEvent, TraceRecord, TraceSink, Tracer,
 };
 pub use writeback::{
     run_with_writeback, run_with_writeback_traced, FlushPolicy, SteppedWriteBack, WriteBackConfig,

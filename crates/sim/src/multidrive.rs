@@ -691,11 +691,6 @@ impl<'a> SteppedMultiDrive<'a> {
         self.injector.copy_lost_forever(addr)
     }
 
-    /// True if drive `d` is administratively offline.
-    pub fn drive_offline(&self, d: usize) -> bool {
-        self.admin_offline.get(d).copied().unwrap_or(false)
-    }
-
     /// The number of drives currently available for dispatch.
     pub fn drives_online(&self) -> usize {
         self.admin_offline.iter().filter(|&&off| !off).count()

@@ -38,7 +38,7 @@ use tapesim_workload::RequestId;
 
 pub use analysis::{summarize, PhaseBreakdown, TraceSummary};
 pub use check::{check_trace, TraceStats, Violation};
-pub use sink::{JsonlSink, MemorySink, NullSink, RingSink, TraceSink};
+pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 
 /// Pseudo drive id for events that belong to the jukebox as a whole
 /// rather than to one drive (request arrivals and permanent failures of

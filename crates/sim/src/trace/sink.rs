@@ -1,6 +1,5 @@
 //! Trace sinks: where recorded events go.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use super::TraceRecord;
@@ -57,56 +56,6 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     fn record(&mut self, rec: TraceRecord) {
         self.events.push(rec);
-    }
-}
-
-/// Keeps only the most recent `capacity` records — a flight recorder for
-/// long runs where only the tail matters (e.g. diagnosing how a run
-/// saturated).
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<TraceRecord>,
-    /// Records seen in total (including evicted ones).
-    seen: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` records (capacity 0 keeps none).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            seen: 0,
-        }
-    }
-
-    /// The retained tail, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
-    }
-
-    /// Total records offered to the sink, including evicted ones.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Consumes the sink, returning the retained tail oldest-first.
-    pub fn into_events(self) -> Vec<TraceRecord> {
-        self.buf.into_iter().collect()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: TraceRecord) {
-        self.seen += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(rec);
     }
 }
 
@@ -167,25 +116,6 @@ mod tests {
                 dur: Micros::from_micros(10),
             },
         }
-    }
-
-    #[test]
-    fn ring_keeps_only_the_tail() {
-        let mut s = RingSink::new(3);
-        for i in 0..10 {
-            s.record(rec(i));
-        }
-        assert_eq!(s.seen(), 10);
-        let tail: Vec<u64> = s.into_events().iter().map(|r| r.seq).collect();
-        assert_eq!(tail, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn zero_capacity_ring_counts_but_keeps_nothing() {
-        let mut s = RingSink::new(0);
-        s.record(rec(0));
-        assert_eq!(s.seen(), 1);
-        assert!(s.into_events().is_empty());
     }
 
     #[test]
