@@ -138,16 +138,25 @@ impl StripeInfo {
 }
 
 /// Immutable catalog of block placements for one jukebox.
+///
+/// Both directions are flat arrays, with no heap block per block or per
+/// tape: block `b`'s copies are `copies[offsets[b]..offsets[b + 1]]`,
+/// and the slot map holds one entry per slot, tape-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
     geometry: JukeboxGeometry,
     block_size: BlockSize,
     /// Number of hot blocks; ids `0..hot_count` are hot.
     hot_count: u32,
-    /// `replicas[b]` = sorted physical addresses of block `b`'s copies.
-    replicas: Vec<Vec<PhysicalAddr>>,
-    /// `slot_map[tape][slot]` = block stored there, if any.
-    slot_map: Vec<Vec<Option<BlockId>>>,
+    /// One entry per block plus one: block `b`'s copies start at
+    /// `offsets[b]` in `copies`.
+    offsets: Vec<u32>,
+    /// Every copy, grouped by block and sorted by tape within a block.
+    copies: Vec<PhysicalAddr>,
+    /// Slots per tape: the stride of `slot_map`.
+    slots: u32,
+    /// `slot_map[tape * slots + slot]` = block stored there, if any.
+    slot_map: Vec<Option<BlockId>>,
     /// Present iff the catalog's blocks are erasure shard cells.
     stripe: Option<StripeInfo>,
 }
@@ -162,15 +171,18 @@ impl Catalog {
         hot_count: u32,
     ) -> CatalogBuilder {
         assert!(hot_count <= blocks, "hot count exceeds block count");
+        let slots = geometry.slots_per_tape(block_size);
+        let cells = usize::from(geometry.tapes) * slots as usize;
+        // Copy offsets and link entries are u32: at most one per slot.
+        assert!(u32::try_from(cells).is_ok(), "more than 2^32 slots");
         CatalogBuilder {
             geometry,
             block_size,
             hot_count,
-            replicas: vec![Vec::new(); blocks as usize],
-            slot_map: vec![
-                vec![None; geometry.slots_per_tape(block_size) as usize];
-                geometry.tapes as usize
-            ],
+            slots,
+            slot_map: vec![None; cells],
+            placed: vec![(0, 0); blocks as usize],
+            links: Vec::with_capacity(cells),
             stripe: None,
         }
     }
@@ -190,7 +202,7 @@ impl Catalog {
     /// Total number of logical blocks.
     #[inline]
     pub fn num_blocks(&self) -> u32 {
-        self.replicas.len() as u32
+        (self.offsets.len() - 1) as u32
     }
 
     /// Number of hot blocks (ids `0..hot_count`).
@@ -212,7 +224,8 @@ impl Catalog {
     /// All physical copies of `block`, sorted by tape id.
     #[inline]
     pub fn replicas(&self, block: BlockId) -> &[PhysicalAddr] {
-        &self.replicas[block.index()]
+        let b = block.index();
+        &self.copies[self.offsets[b] as usize..self.offsets[b + 1] as usize]
     }
 
     /// The surviving copies of `block`: all replicas except those on
@@ -241,17 +254,22 @@ impl Catalog {
 
     /// The block stored at a physical address, if any.
     pub fn block_at(&self, addr: PhysicalAddr) -> Option<BlockId> {
-        self.slot_map
-            .get(addr.tape.index())?
-            .get(addr.slot.index())
-            .copied()
-            .flatten()
+        if addr.tape.0 >= self.geometry.tapes || addr.slot.0 >= self.slots {
+            return None;
+        }
+        self.slot_map[addr.tape.index() * self.slots as usize + addr.slot.index()]
+    }
+
+    /// One tape's slots in ascending order.
+    fn tape_slots(&self, tape: TapeId) -> &[Option<BlockId>] {
+        let slots = self.slots as usize;
+        &self.slot_map[tape.index() * slots..(tape.index() + 1) * slots]
     }
 
     /// Iterator over `(slot, block)` pairs on one tape in ascending slot
     /// order.
     pub fn tape_contents(&self, tape: TapeId) -> impl Iterator<Item = (SlotIndex, BlockId)> + '_ {
-        self.slot_map[tape.index()]
+        self.tape_slots(tape)
             .iter()
             .enumerate()
             .filter_map(|(i, b)| b.map(|b| (SlotIndex(i as u32), b)))
@@ -259,15 +277,12 @@ impl Catalog {
 
     /// Number of occupied slots on one tape.
     pub fn occupied_slots(&self, tape: TapeId) -> u32 {
-        self.slot_map[tape.index()]
-            .iter()
-            .filter(|b| b.is_some())
-            .count() as u32
+        self.tape_slots(tape).iter().filter(|b| b.is_some()).count() as u32
     }
 
     /// Total copies stored across all tapes (originals + replicas).
     pub fn total_copies(&self) -> u64 {
-        self.replicas.iter().map(|r| r.len() as u64).sum()
+        self.copies.len() as u64
     }
 
     /// Measured expansion factor: total copies divided by logical blocks.
@@ -322,14 +337,23 @@ impl Catalog {
     }
 }
 
-/// Incremental catalog builder that validates every placement.
+/// Incremental catalog builder that validates every placement. It keeps
+/// no list per block: [`CatalogBuilder::build`] reads each block's copies
+/// off the slot map.
 #[derive(Debug, Clone)]
 pub struct CatalogBuilder {
     geometry: JukeboxGeometry,
     block_size: BlockSize,
     hot_count: u32,
-    replicas: Vec<Vec<PhysicalAddr>>,
-    slot_map: Vec<Vec<Option<BlockId>>>,
+    slots: u32,
+    slot_map: Vec<Option<BlockId>>,
+    /// Per block: copies placed so far, and the last one's entry in
+    /// `links` (meaningless while none is placed).
+    placed: Vec<(u32, u32)>,
+    /// Per placed copy: its tape, and the entry of the same block's copy
+    /// placed before it. Each block's entries form a chain for the
+    /// one-copy-per-tape check.
+    links: Vec<(TapeId, u32)>,
     stripe: Option<StripeInfo>,
 }
 
@@ -337,33 +361,33 @@ impl CatalogBuilder {
     /// Marks the catalog as an erasure-shard catalog: its block count and
     /// hot count must equal the cell totals `info` implies.
     pub fn set_stripe(&mut self, info: StripeInfo) {
-        debug_assert_eq!(self.replicas.len() as u32, info.total_cells());
+        debug_assert_eq!(self.placed.len() as u32, info.total_cells());
         debug_assert_eq!(self.hot_count, info.logical_hot * info.shards_per_hot());
         self.stripe = Some(info);
     }
 
     /// Places a copy of `block` at `addr`.
     pub fn place(&mut self, block: BlockId, addr: PhysicalAddr) -> Result<(), CatalogError> {
-        if block.index() >= self.replicas.len() {
+        let Some(&(count, last)) = self.placed.get(block.index()) else {
             return Err(CatalogError::UnknownBlock { block });
-        }
-        if addr.tape.index() >= self.slot_map.len()
-            || addr.slot.index() >= self.slot_map[addr.tape.index()].len()
-        {
+        };
+        if addr.tape.0 >= self.geometry.tapes || addr.slot.0 >= self.slots {
             return Err(CatalogError::OutOfBounds { addr });
         }
-        // One copy per tape: a block has at most `tapes` replicas, so this
-        // scan is over a handful of entries and beats a side index.
-        if self.replicas[block.index()]
-            .iter()
-            .any(|a| a.tape == addr.tape)
-        {
-            return Err(CatalogError::DuplicateCopyOnTape {
-                block,
-                tape: addr.tape,
-            });
+        // One copy per tape: a block has at most `tapes` copies, so this
+        // walk is over a handful of entries and beats a side index.
+        let mut link = last;
+        for _ in 0..count {
+            let (tape, before) = self.links[link as usize];
+            if tape == addr.tape {
+                return Err(CatalogError::DuplicateCopyOnTape {
+                    block,
+                    tape: addr.tape,
+                });
+            }
+            link = before;
         }
-        let cell = &mut self.slot_map[addr.tape.index()][addr.slot.index()];
+        let cell = &mut self.slot_map[addr.tape.index() * self.slots as usize + addr.slot.index()];
         if let Some(occupant) = *cell {
             return Err(CatalogError::SlotOccupied {
                 addr,
@@ -372,26 +396,57 @@ impl CatalogBuilder {
             });
         }
         *cell = Some(block);
-        self.replicas[block.index()].push(addr);
+        self.placed[block.index()] = (count + 1, self.links.len() as u32);
+        self.links.push((addr.tape, last));
         Ok(())
     }
 
     /// Finalizes the catalog, checking that every block has at least one
     /// copy.
     pub fn build(mut self) -> Result<Catalog, CatalogError> {
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            if r.is_empty() {
+        // The chains served only `place`: free them before the copies.
+        self.links = Vec::new();
+        let mut offsets = Vec::with_capacity(self.placed.len() + 1);
+        offsets.push(0);
+        let mut total = 0;
+        for (i, (count, next)) in self.placed.iter_mut().enumerate() {
+            if *count == 0 {
                 return Err(CatalogError::Unplaced {
                     block: BlockId(i as u32),
                 });
             }
-            r.sort_by_key(|a| a.tape);
+            // From here on, `next` is where the block's next copy goes.
+            *next = total;
+            total += *count;
+            offsets.push(total);
+        }
+        // One tape-major scan yields each block's copies sorted by tape.
+        let unset = PhysicalAddr {
+            tape: TapeId(0),
+            slot: SlotIndex(0),
+        };
+        let mut copies = vec![unset; total as usize];
+        // `max(1)`: a zero-slot geometry has an empty slot map.
+        let rows = self.slot_map.chunks(self.slots.max(1) as usize);
+        for (tape, row) in rows.enumerate() {
+            for (slot, b) in row.iter().enumerate() {
+                if let Some(b) = b {
+                    let next = &mut self.placed[b.index()].1;
+                    copies[*next as usize] = PhysicalAddr {
+                        tape: TapeId(tape as u16),
+                        slot: SlotIndex(slot as u32),
+                    };
+                    *next += 1;
+                }
+            }
         }
         Ok(Catalog {
             geometry: self.geometry,
             block_size: self.block_size,
             hot_count: self.hot_count,
-            replicas: self.replicas,
+            offsets,
+            copies,
+            slots: self.slots,
             slot_map: self.slot_map,
             stripe: self.stripe,
         })
@@ -401,6 +456,7 @@ impl CatalogBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn addr(t: u16, s: u32) -> PhysicalAddr {
         PhysicalAddr {
@@ -586,6 +642,140 @@ mod tests {
         assert_eq!(plain.logical_num_blocks(), plain.num_blocks());
         assert_eq!(plain.logical_block_size(), plain.block_size());
         assert!(plain.stripe().is_none());
+    }
+
+    /// The catalog as it was stored before it went flat: one `Vec` of
+    /// copies per block and one `Vec` of slots per tape.
+    struct Model {
+        copies: Vec<Vec<PhysicalAddr>>,
+        slots: Vec<Vec<Option<BlockId>>>,
+    }
+
+    impl Model {
+        fn place(&mut self, block: BlockId, addr: PhysicalAddr) -> Result<(), CatalogError> {
+            let Some(copies) = self.copies.get_mut(block.index()) else {
+                return Err(CatalogError::UnknownBlock { block });
+            };
+            let Some(cell) = self
+                .slots
+                .get_mut(addr.tape.index())
+                .and_then(|tape| tape.get_mut(addr.slot.index()))
+            else {
+                return Err(CatalogError::OutOfBounds { addr });
+            };
+            if copies.iter().any(|a| a.tape == addr.tape) {
+                return Err(CatalogError::DuplicateCopyOnTape {
+                    block,
+                    tape: addr.tape,
+                });
+            }
+            if let Some(occupant) = *cell {
+                return Err(CatalogError::SlotOccupied {
+                    addr,
+                    occupant,
+                    incoming: block,
+                });
+            }
+            *cell = Some(block);
+            copies.push(addr);
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// Random geometries and copy sets, placed in random order with
+        /// duplicate-tape, occupied-slot, out-of-bounds and unknown-block
+        /// attempts mixed in: every `place` and the built catalog agree
+        /// with the nested model.
+        #[test]
+        fn flat_catalog_matches_a_nested_model(
+            tapes in 1u16..=6,
+            slots in 1u32..=6,
+            // Per block: a non-empty subset of the tapes (1 to `tapes`
+            // copies) and a slot on each tape.
+            sets in proptest::collection::vec(
+                (0u32..64, proptest::collection::vec(0u32..6, 6)),
+                0..=8,
+            ),
+            // Bad attempts: kind, block, tape and slot seeds.
+            bad in proptest::collection::vec((0u32..3, 0u32..64, 0u16..64, 0u32..6), 0..=8),
+            order in proptest::collection::vec(0u32..1000, 56),
+        ) {
+            let n = sets.len() as u32;
+            let mut attempts = Vec::new();
+            for (b, (mask, at)) in sets.iter().enumerate() {
+                let mask = mask % ((1 << tapes) - 1) + 1;
+                for t in (0..tapes).filter(|t| mask >> t & 1 == 1) {
+                    attempts.push((BlockId(b as u32), addr(t, at[usize::from(t)] % slots)));
+                }
+            }
+            let planned = attempts.len();
+            for &(kind, b, t, s) in &bad {
+                attempts.push(match kind {
+                    // A planned copy's block again on the same tape.
+                    0 if planned > 0 => {
+                        let (block, a) = attempts[b as usize % planned];
+                        (block, addr(a.tape.0, s % slots))
+                    }
+                    // A tape or slot one or two past the geometry.
+                    1 if t % 2 == 0 => (BlockId(b % n.max(1)), addr(tapes + t % 4 / 2, s % slots)),
+                    1 => (BlockId(b % n.max(1)), addr(t % tapes, slots + s % 2)),
+                    _ => (BlockId(n + b % 2), addr(t % tapes, s % slots)),
+                });
+            }
+            let mut keyed: Vec<_> = order.iter().zip(attempts).collect();
+            keyed.sort_by_key(|&(key, _)| *key);
+
+            let geometry = JukeboxGeometry::new(tapes, u64::from(slots) * 16);
+            let mut builder = Catalog::builder(geometry, BlockSize::from_mb(16), n, n / 2);
+            let mut model = Model {
+                copies: vec![Vec::new(); n as usize],
+                slots: vec![vec![None; slots as usize]; usize::from(tapes)],
+            };
+            for (_, (block, a)) in keyed {
+                prop_assert_eq!(builder.place(block, a), model.place(block, a), "place {:?} at {}", block, a);
+            }
+
+            let unplaced = model.copies.iter().position(Vec::is_empty);
+            let c = match builder.build() {
+                Err(e) => {
+                    let block = BlockId(unplaced.expect("built unless a block is unplaced") as u32);
+                    prop_assert_eq!(e, CatalogError::Unplaced { block });
+                    return Ok(());
+                }
+                Ok(c) => c,
+            };
+            prop_assert_eq!(unplaced, None);
+            prop_assert_eq!(c.num_blocks(), n);
+            prop_assert_eq!(c.hot_count(), n / 2);
+            for (b, copies) in model.copies.iter_mut().enumerate() {
+                let block = BlockId(b as u32);
+                copies.sort_by_key(|a| a.tape);
+                prop_assert_eq!(c.replicas(block), copies.as_slice());
+                for t in (0..=tapes).map(TapeId) {
+                    let on_tape = copies.iter().find(|a| a.tape == t).copied();
+                    prop_assert_eq!(c.copy_on_tape(block, t), on_tape);
+                }
+            }
+            for t in 0..=tapes {
+                for s in 0..=slots {
+                    let expected = model.slots.get(usize::from(t)).and_then(|tape| tape.get(s as usize)).copied().flatten();
+                    prop_assert_eq!(c.block_at(addr(t, s)), expected);
+                }
+            }
+            for (t, tape) in model.slots.iter().enumerate() {
+                let tape_id = TapeId(t as u16);
+                let contents: Vec<_> = tape
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(s, b)| b.map(|b| (SlotIndex(s as u32), b)))
+                    .collect();
+                prop_assert!(c.tape_contents(tape_id).eq(contents.iter().copied()));
+                prop_assert_eq!(c.occupied_slots(tape_id) as usize, contents.len());
+            }
+            let total: usize = model.copies.iter().map(Vec::len).sum();
+            prop_assert_eq!(c.total_copies(), total as u64);
+        }
     }
 
     #[test]

@@ -275,7 +275,7 @@ pub fn build_fleet_placement(
     let slots = geometry.slots_per_tape(block);
     let e = scheme_expansion_factor(cfg.scheme, cfg.ph_percent);
     let upper = logical_upper_bound(geometry, block, cfg.scheme, e);
-    let (catalog, hot_tapes) = bisect_largest(upper, |d| match cfg.scheme {
+    let (catalog, hot_tapes) = largest_feasible(upper, |d| match cfg.scheme {
         PlacementScheme::Replication { nr } => {
             try_build_fleet(geometry, block, slots, cfg, nr, d, topology, scope)
         }
@@ -364,33 +364,45 @@ fn shard_size(block: BlockSize, k: u8) -> BlockSize {
 
 /// Finds the largest `d` in `1..=upper` for which `try_at(d)` succeeds
 /// and returns that build, assuming feasibility is downward-closed (if
-/// `d` fits, so does `d - 1`). Replaces the former linear walk from the
-/// upper bound — O(log upper) rebuilds instead of O(slack) — and returns
-/// the identical catalog: both pick the largest feasible `d`, and the
-/// build at a given `d` is deterministic. Erasure placements can violate
-/// monotonicity by one block in rare SP-rounding corners (a shrinking hot
-/// region can split a tape's trailing free run below `k` contiguous
-/// cells); the result is then a feasible placement at most one block
-/// under the optimum.
-fn bisect_largest<T>(
+/// `d` fits, so does `d - 1`). The answer sits just below the capacity
+/// bound, so the search gallops down from it: it probes `upper`, then 1,
+/// 2, 4, … below `upper` until a count fits, and bisects the gap above
+/// that count. An answer `s` blocks below `upper` costs at most
+/// max(1, ⌈log2 s⌉) full builds; most counts that do not fit are refused
+/// by the capacity check before any catalog is built. The build at a
+/// given `d` is deterministic, so any search that finds the same `d`
+/// returns the same catalog.
+/// Erasure placements can violate monotonicity by one block in rare
+/// SP-rounding corners (a shrinking hot region can split a tape's
+/// trailing free run below `k` contiguous cells); the result is then a
+/// feasible placement at most one block under the optimum.
+fn largest_feasible<T>(
     upper: u32,
     mut try_at: impl FnMut(u32) -> Result<T, TryBuildError>,
 ) -> Result<T, PlacementError> {
-    // Invariant: every count above `hi` is infeasible; `best` holds the
-    // build at `lo`, the largest known-feasible count (none yet at 0).
-    let mut best: Option<T> = None;
-    let mut lo = 0u32;
-    let mut hi = upper;
-    while lo < hi {
-        // Upper midpoint so the range strictly shrinks on success.
-        let mid = hi - (hi - lo) / 2;
-        match try_at(mid) {
-            Ok(v) => {
-                best = Some(v);
-                lo = mid;
-            }
-            Err(TryBuildError::DoesNotFit) => hi = mid - 1,
-            Err(TryBuildError::Catalog(e)) => return Err(e.into()),
+    let mut probe = |d: u32| match try_at(d) {
+        Ok(v) => Ok(Some(v)),
+        Err(TryBuildError::DoesNotFit) => Ok(None),
+        Err(TryBuildError::Catalog(e)) => Err(PlacementError::Catalog(e)),
+    };
+    // Invariant: `best` holds the build at `lo`, the largest count known
+    // to fit (none yet at 0), and no count from `hi` up fits, unless
+    // `upper` itself fits and `lo == hi`.
+    let (mut lo, mut hi, mut best) = (0, upper, None);
+    let mut step = 0;
+    while step < upper {
+        if let Some(v) = probe(upper - step)? {
+            (lo, best) = (upper - step, Some(v));
+            break;
+        }
+        hi = upper - step;
+        step = step.saturating_mul(2).max(1);
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        match probe(mid)? {
+            Some(v) => (lo, best) = (mid, Some(v)),
+            None => hi = mid,
         }
     }
     best.ok_or(PlacementError::NoCapacity)
@@ -625,8 +637,15 @@ fn try_build_ec(
     // Per-tape list of hot shard cells, in cell-id order.
     let mut hot_on_tape: Vec<Vec<BlockId>> = vec![Vec::new(); t as usize];
     let mut is_hot_tape = vec![false; t as usize];
+    let groups = match cfg.layout {
+        LayoutKind::Horizontal => Vec::new(),
+        LayoutKind::Vertical => vertical_groups(topology, scope, km),
+    };
+    let mut tapes = Vec::with_capacity(km as usize);
     for h in 0..hot {
-        let tapes = stripe_tapes(cfg.layout, scope, topology, t, slots, km, h)?;
+        stripe_tapes(
+            cfg.layout, scope, topology, &groups, t, slots, km, h, &mut tapes,
+        )?;
         debug_assert_eq!(tapes.len() as u32, km);
         for (j, &tape) in tapes.iter().enumerate() {
             hot_on_tape[tape as usize].push(BlockId(h * km + j as u32));
@@ -645,7 +664,7 @@ fn try_build_ec(
     });
     // Per tape, the ascending free runs `[lo, hi)` left around the hot
     // region; cold blocks carve `k`-cell pieces off them.
-    let mut runs: Vec<Vec<(u32, u32)>> = Vec::with_capacity(t as usize);
+    let mut runs: Vec<[(u32, u32); 2]> = Vec::with_capacity(t as usize);
     for (tape_idx, cells_here) in hot_on_tape.iter().enumerate() {
         let len = cells_here.len() as u32;
         if len > slots {
@@ -661,7 +680,7 @@ fn try_build_ec(
                 },
             )?;
         }
-        runs.push(vec![(0, start), (start + len, slots)]);
+        runs.push([(0, start), (start + len, slots)]);
     }
 
     // Cold blocks round-robin over tapes; each takes `k` contiguous
@@ -723,114 +742,113 @@ fn take_run(runs: &mut [(u32, u32)], need: u32) -> Option<u32> {
     None
 }
 
-/// The `km` distinct tapes hosting hot stripe `h`'s shard cells, in shard
-/// order.
+/// The tapes of every vertical stripe group, `km` per group, in the
+/// order the groups open. In-library groups are contiguous runs of `km`
+/// tapes, library by library (never spanning one). Cross-library groups
+/// take tapes breadth-first across libraries, so every stripe spans as
+/// many libraries as it can while hot data still packs onto few tapes.
+fn vertical_groups(topo: &Topology, scope: ReplicaScope, km: u32) -> Vec<u32> {
+    let libs = topo
+        .libraries()
+        .iter()
+        .enumerate()
+        .map(|(i, lib)| (u32::from(topo.tape_base(i as u16)), u32::from(lib.tapes)));
+    let mut order = Vec::new();
+    match scope {
+        ReplicaScope::InLibrary => {
+            for (lo, n) in libs {
+                order.extend(lo..lo + n / km * km);
+            }
+        }
+        ReplicaScope::CrossLibrary => {
+            let max_n = libs.clone().map(|(_, n)| n).max().unwrap_or(0);
+            for pass in 0..max_n {
+                order.extend(
+                    libs.clone()
+                        .filter(|&(_, n)| pass < n)
+                        .map(|(lo, _)| lo + pass),
+                );
+            }
+            order.truncate(order.len() / km as usize * km as usize);
+        }
+    }
+    order
+}
+
+/// Writes into `tapes` the `km` distinct tapes hosting hot stripe `h`'s
+/// shard cells, in shard order. `groups` is [`vertical_groups`]'s table
+/// for vertical layouts.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "placement knobs are irreducible here"
+)]
 fn stripe_tapes(
     layout: LayoutKind,
     scope: ReplicaScope,
     topo: &Topology,
+    groups: &[u32],
     t: u32,
     slots: u32,
     km: u32,
     h: u32,
-) -> Result<Vec<u32>, TryBuildError> {
-    if scope == ReplicaScope::CrossLibrary {
-        let l = u32::from(topo.library_count());
-        let lib_tapes = |i: u32| -> u32 {
-            topo.libraries()
-                .get(i as usize)
-                .map_or(0, |x| u32::from(x.tapes))
-        };
-        let base = |i: u32| u32::from(topo.tape_base(i as u16));
-        let max_n = (0..l).map(lib_tapes).max().unwrap_or(0);
-        return match layout {
-            LayoutKind::Horizontal => {
-                // Breadth-first over libraries starting at the one owning
-                // tape `h % t`: one shard per library per pass, rotated
-                // within each library by the stripe id. Distinct because
-                // each (library, pass) pair contributes at most one tape.
-                let lib0 = u32::from(topo.library_of_tape(TapeId((h % t) as u16)));
-                let mut tapes = Vec::with_capacity(km as usize);
-                'outer: for pass in 0..max_n {
-                    for i in 0..l {
-                        let tl = (lib0 + i) % l;
-                        let n_t = lib_tapes(tl);
-                        if pass >= n_t {
-                            continue;
-                        }
-                        tapes.push(base(tl) + (h + pass) % n_t);
-                        if tapes.len() as u32 == km {
-                            break 'outer;
-                        }
-                    }
-                }
-                if (tapes.len() as u32) < km {
-                    return Err(TryBuildError::DoesNotFit);
-                }
-                Ok(tapes)
-            }
-            LayoutKind::Vertical => {
-                // Groups of `km` tapes chosen breadth-first across
-                // libraries, so every stripe spans as many libraries as
-                // it can while hot data still packs onto few tapes. Each
-                // group hosts `slots` stripes before the next opens.
-                let mut order = Vec::with_capacity(t as usize);
-                for pass in 0..max_n {
-                    for i in 0..l {
-                        if pass < lib_tapes(i) {
-                            order.push(base(i) + pass);
-                        }
-                    }
-                }
-                let g = (h / slots) as usize;
-                order
-                    .chunks_exact(km as usize)
-                    .nth(g)
-                    .map(<[u32]>::to_vec)
-                    .ok_or(TryBuildError::DoesNotFit)
-            }
-        };
+    tapes: &mut Vec<u32>,
+) -> Result<(), TryBuildError> {
+    tapes.clear();
+    if layout == LayoutKind::Vertical {
+        // Each group hosts `slots` stripes — its tapes fill completely —
+        // before the next opens.
+        let first = (h / slots * km) as usize;
+        let group = groups
+            .get(first..first + km as usize)
+            .ok_or(TryBuildError::DoesNotFit)?;
+        tapes.extend_from_slice(group);
+        return Ok(());
     }
-    // In-library scope: the stripe stays inside one library (the whole
-    // jukebox for a classic placement).
-    let libs: Vec<(u32, u32)> = (0..topo.library_count())
-        .map(|i| {
-            (
-                u32::from(topo.tape_base(i)),
-                u32::from(topo.libraries()[i as usize].tapes),
-            )
-        })
-        .collect();
-    match layout {
-        LayoutKind::Horizontal => {
+    let lib_tapes = |i: u32| -> u32 {
+        topo.libraries()
+            .get(i as usize)
+            .map_or(0, |x| u32::from(x.tapes))
+    };
+    let base = |i: u32| u32::from(topo.tape_base(i as u16));
+    let origin = h % t;
+    let lib0 = u32::from(topo.library_of_tape(TapeId(origin as u16)));
+    match scope {
+        ReplicaScope::CrossLibrary => {
+            // Breadth-first over libraries starting at the one owning
+            // tape `h % t`: one shard per library per pass, rotated
+            // within each library by the stripe id. Distinct because
+            // each (library, pass) pair contributes at most one tape.
+            let l = u32::from(topo.library_count());
+            let max_n = (0..l).map(lib_tapes).max().unwrap_or(0);
+            'outer: for pass in 0..max_n {
+                for i in 0..l {
+                    let tl = (lib0 + i) % l;
+                    let n_t = lib_tapes(tl);
+                    if pass >= n_t {
+                        continue;
+                    }
+                    tapes.push(base(tl) + (h + pass) % n_t);
+                    if tapes.len() as u32 == km {
+                        break 'outer;
+                    }
+                }
+            }
+            if (tapes.len() as u32) < km {
+                return Err(TryBuildError::DoesNotFit);
+            }
+        }
+        ReplicaScope::InLibrary => {
             // The classic rotating window `(origin + j) % n`, confined to
-            // the library owning tape `h % t`.
-            let origin = h % t;
-            let (lo, n) = libs
-                .iter()
-                .copied()
-                .find(|&(lo, n)| origin >= lo && origin < lo + n)
-                .ok_or(TryBuildError::DoesNotFit)?;
+            // the library owning tape `h % t` (the whole jukebox for a
+            // classic placement).
+            let (lo, n) = (base(lib0), lib_tapes(lib0));
             if km > n {
                 return Err(TryBuildError::DoesNotFit);
             }
-            Ok((0..km).map(|j| lo + ((origin - lo) + j) % n).collect())
-        }
-        LayoutKind::Vertical => {
-            // Contiguous groups of `km` tapes, library by library (never
-            // spanning one); each group hosts `slots` stripes — its tapes
-            // fill completely — before the next opens.
-            let mut groups = Vec::new();
-            for (lo, n) in libs {
-                for q in 0..n / km {
-                    groups.push(lo + q * km);
-                }
-            }
-            let g = (h / slots) as usize;
-            let base = *groups.get(g).ok_or(TryBuildError::DoesNotFit)?;
-            Ok((base..base + km).collect())
+            tapes.extend((0..km).map(|j| lo + (origin - lo + j) % n));
         }
     }
+    Ok(())
 }
 
 /// Start slot of a contiguous region of `len` copies on a tape of `slots`
@@ -1320,10 +1338,50 @@ mod tests {
     }
 
     #[test]
+    fn search_finds_the_largest_fit_in_few_builds() {
+        // A counting oracle: a count fits if and only if it is at most
+        // `answer`, and each fit is one full catalog build. The bound is
+        // fleet-recall's.
+        const UPPER: u32 = 81_456;
+        let search = |answer: u32| {
+            let mut builds = 0u32;
+            let found = largest_feasible(UPPER, |d| {
+                if d > answer {
+                    return Err(TryBuildError::DoesNotFit);
+                }
+                builds += 1;
+                Ok(d)
+            });
+            (found, builds)
+        };
+        for slack in [0, 1, 2, 72] {
+            let (found, builds) = search(UPPER - slack);
+            assert_eq!(found, Ok(UPPER - slack), "slack {slack}");
+            // ⌈log2(slack + 1)⌉ is the bit length of `slack`.
+            let bound = if slack <= 2 {
+                2
+            } else {
+                u32::BITS - slack.leading_zeros() + 2
+            };
+            assert!(builds <= bound, "slack {slack}: {builds} builds");
+        }
+        assert_eq!(search(0), (Err(PlacementError::NoCapacity), 0));
+
+        let unplaced = CatalogError::Unplaced { block: BlockId(0) };
+        let mut probes = 0;
+        let found: Result<u32, _> = largest_feasible(UPPER, |_| {
+            probes += 1;
+            Err(TryBuildError::Catalog(unplaced.clone()))
+        });
+        assert_eq!(found, Err(PlacementError::Catalog(unplaced)));
+        assert_eq!(probes, 1);
+    }
+
+    #[test]
     fn cross_library_replication_bounded_by_fleet() {
         // 10 replicas + the original need 11 distinct tapes; the whole
         // fleet has 10, so even the widest scope reports the typed
-        // capacity error instead of failing deep inside the bisection.
+        // capacity error instead of failing deep inside the search.
         let topo = paper_topology(2, 5);
         let cfg = PlacementConfig {
             layout: LayoutKind::Horizontal,

@@ -10,7 +10,8 @@
 //! to the shard's slot — and picks the cheapest `k`, breaking ties by
 //! cell id so the choice is deterministic. The read's completion is the
 //! *max* over its shard completions (every shard is needed to
-//! reconstruct), which is what [`read_envelope`] computes.
+//! reconstruct): the erasure driver in `tapesim_sim` counts a read's
+//! outstanding shards and completes it with the last.
 
 use tapesim_layout::{BlockId, Catalog};
 use tapesim_model::{Micros, PhysicalAddr, SlotIndex, TapeId, TimingModel};
@@ -86,13 +87,6 @@ pub fn choose_shards(
     cells
 }
 
-/// Max-completion envelope of an erasure read: the read completes when
-/// the slowest of its chosen shards completes. `Micros::ZERO` for an
-/// empty set.
-pub fn read_envelope(costs: impl IntoIterator<Item = Micros>) -> Micros {
-    costs.into_iter().max().unwrap_or(Micros::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,14 +159,5 @@ mod tests {
         let picked = choose_shards(&t, &c, 0, &[], &lost);
         assert_eq!(picked.len(), 2);
         assert!(picked.contains(&3));
-    }
-
-    #[test]
-    fn envelope_is_the_max() {
-        assert_eq!(
-            read_envelope([Micros::from_secs(3), Micros::from_secs(7), Micros::ZERO]),
-            Micros::from_secs(7)
-        );
-        assert_eq!(read_envelope(std::iter::empty()), Micros::ZERO);
     }
 }

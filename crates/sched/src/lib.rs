@@ -37,7 +37,7 @@ pub use cost::{
     candidate_for_tape, effective_bandwidth, execution_cost, forward_list_for, mount_cost,
     split_sweep, start_head, walk_cost, TapeCandidate,
 };
-pub use ec::{choose_shards, read_envelope, shard_pick_cost};
+pub use ec::{choose_shards, shard_pick_cost};
 pub use envelope::{
     compute_upper_envelope, prefix_cost, EnvelopePolicy, EnvelopeScheduler, UpperEnvelope,
 };
